@@ -1,0 +1,12 @@
+"""Puts the benchmark's modules and the program's sources on sys.path.
+
+Run from the repository root:  python3 -m pytest bench/tests -q
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path.insert(0, BENCH)
+sys.path.insert(0, os.path.join(os.path.dirname(BENCH), "src"))

@@ -234,7 +234,7 @@ def _run_trace(config: RunConfig) -> Table:
         ident = traces.identity_trace(surface.volume, t, config.tol)
         strace = htr + etr + ident
         if alpha is not None:
-            strace = traces.truncated_trace(surface, alpha, t, config.tol)
+            strace -= traces.removed_modes(surface, alpha, t)
         rows.append([t, strace, htr, etr, dtr])
     return Table(columns=["t", "Str", "HTr", "ETr", "DTr"], rows=rows,
                  comments=_comments(config))

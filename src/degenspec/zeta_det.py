@@ -500,10 +500,12 @@ def truncated_zeta(spectral_input, alpha: float, s, *,
 
     Finite spectra: the partial sum over lambda > alpha.  Trace providers:
     the listed small eigenvalues <= alpha are subtracted from the trace and
-    the Mellin machinery runs on the remainder; c_M is the tail constant of
-    the *truncated* trace.  Supplied coefficients describe the full trace:
-    their integer powers p >= 0 are shifted for the subtracted modes and the
-    result is checked against the truncated trace at small t.
+    the Mellin machinery runs on the remainder.  c_M is the tail constant
+    (t -> infinity limit) of the *full* trace, as in spectral_zeta_mellin;
+    each subtracted zero mode is removed from it here.  Supplied
+    coefficients describe the full trace too: their integer powers p >= 0
+    are shifted for the subtracted modes and the result is checked against
+    the truncated trace at small t.
     """
     if not 0.0 < alpha < 0.25:
         raise DomainError(f"alpha must lie in (0, 1/4), got {alpha}")

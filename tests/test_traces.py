@@ -7,6 +7,7 @@ reduction of the order-2 elliptic integrand to a sech profile.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,7 +17,8 @@ from degenspec.errors import (AdmissibilityError, AlphaCollisionError,
                               DomainError, InvariantViolation)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.hplane import heat_kernel_h
-from degenspec.traces import (TestFunctionPair, TraceSeries, degenerating_trace,
+from degenspec.traces import (TestFunctionPair, TraceSeries, _cone_series,
+                              degenerating_trace,
                               elliptic_trace_r, elliptic_trace_u, fermi_weight,
                               geometric_side, hyperbolic_trace, identity_trace,
                               noncompact_spectral_terms, spectral_side_compact,
@@ -119,6 +121,78 @@ class TestEllipticTraces:
     def test_long_time_decay(self):
         t = 50.0
         assert elliptic_trace_u([3], t) * math.exp(t / 4.0) < 1.0
+
+    @staticmethod
+    def _mp_series(q, u):
+        """cosh(u/2) S_q(u)/q from the closed form of the n-sum."""
+        x = mp.mpf(u) / 2
+        return mp.cosh(x) * (2 * q * mp.coth(q * x) / mp.sinh(2 * x)
+                             - 1 / mp.sinh(x) ** 2) / q
+
+    def test_closed_form_identity(self):
+        # the oracle's identity itself, against the defining n-sum
+        with mp.workdps(50):
+            for q in (2, 3, 7):
+                for u in ("1e-6", "0.3", "2", "11"):
+                    x = mp.mpf(u) / 2
+                    direct = mp.cosh(x) / q * mp.fsum(
+                        1 / (mp.sinh(x) ** 2 + mp.sin(n * mp.pi / q) ** 2)
+                        for n in range(1, q))
+                    # the closed form cancels ~13 of the 50 digits at 1e-6
+                    assert abs(self._mp_series(q, u) / direct - 1) < 1e-30
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 50, 1000, 10 ** 5, 10 ** 7])
+    def test_closed_form_n_sum(self, q):
+        # both switches of the evaluation: q u/2 = 1 and u/2 = 1
+        u = np.concatenate([np.geomspace(1e-9, 60.0, 160),
+                            np.outer([2.0 / q, 2.0], [1 - 1e-12, 1.0, 1 + 1e-12]).ravel()])
+        got = _cone_series((q,))(u)
+        with mp.workdps(50):
+            want = np.array([float(self._mp_series(q, float(v))) for v in u])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 50])
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0])
+    def test_u_form_against_mpmath_n_sum(self, q, t):
+        # the per-n integrand summed inside one mpmath quadrature
+        with mp.workdps(30):
+            sin2 = [mp.sin(n * mp.pi / q) ** 2 for n in range(1, q)]
+
+            def f(u):
+                x = u / 2
+                s2 = mp.sinh(x) ** 2
+                return mp.exp(-u * u / (4 * t)) * mp.cosh(x) * mp.fsum(
+                    1 / (s2 + c) for c in sin2) / q
+
+            scale = math.sqrt(4 * t)
+            points = [0] + [scale * k for k in (0.25, 1, 3, 8)] + [mp.inf]
+            total = mp.quad(f, points)
+            oracle = float(mp.exp(-t / 4) / mp.sqrt(16 * mp.pi * t) * total)
+        assert elliptic_trace_u([q], t) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0])
+    def test_mixed_orders_additive(self, t):
+        orders = (2, 3, 3, 7, 50)
+        parts = math.fsum(elliptic_trace_u([q], t) for q in orders)
+        assert elliptic_trace_u(orders, t) == pytest.approx(parts, rel=1e-14)
+
+    def test_huge_order_small_time(self):
+        q, t = 10 ** 7, 1e-3
+        val = elliptic_trace_u([q], t)
+        assert math.isfinite(val)
+        with mp.workdps(50):
+            def f(u):
+                return mp.exp(-u * u / (4 * t)) * self._mp_series(q, u)
+
+            # tanh-sinh nodes crowd u = 0, where 50 digits cannot carry the
+            # cancellation: [0, 1e-20] is taken as its limit (q^2 - 1)/3q
+            # times the width, and the Gaussian has died (e^{-640}) by 1.6
+            eps = mp.mpf("1e-20")
+            points = [eps] + [mp.mpf(10) ** k / q for k in range(0, 7)] \
+                + [0.2, 0.4, 0.8, 1.6]
+            total = mp.quad(f, points) + eps * (q * q - 1) / (3 * q)
+            oracle = float(mp.exp(-t / 4) / mp.sqrt(16 * mp.pi * t) * total)
+        assert val == pytest.approx(oracle, rel=1e-11)
 
     def test_order_validation(self):
         with pytest.raises(DomainError):

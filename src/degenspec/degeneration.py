@@ -8,6 +8,9 @@ Central objects:
   R = sqrt(T - 1/4), with beta = n/q and beta = 0 the limiting kernel;
 - the degenerating counting function G_{M,w}(T), a double sum of those
   kernels over the degenerating cones, which grows like c_w(T) log(prod q).
+  By Parseval and Hejhal's closed form of the n-sum, G is one u-integral of
+  the Fourier transform of (T - 1/4 - r^2)_+^w against the cone series
+  (traces.cone_integral), whatever the orders.
 
 Slope fits against log(prod q) realize the growth laws empirically.
 """
@@ -15,19 +18,16 @@ Slope fits against log(prod q) realize the growth laws empirically.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.special import jv
 
-from .errors import DomainError, FitError, QuadratureError
+from .errors import DomainError, FitError
 from .geometry import DegeneratingFamily, SurfaceData
 from .special_fn import integrate_finite
-from .traces import fermi_weight
+from .traces import cone_integral, fermi_weight
 
 __all__ = [
     "CwKernel",
@@ -42,10 +42,6 @@ __all__ = [
     "family_sweep",
 ]
 
-# order thresholds separating the three evaluation paths of the double sum
-_ADAPTIVE_MAX_ORDER = 256
-_INTERP_MIN_ORDER = 100_000
-_BETA_GRID_POINTS = 256
 _CHUNK = 1_000_000
 
 
@@ -118,106 +114,38 @@ def c_w_kernel(kernel: CwKernel, tol: float = 1e-12) -> float:
     return _kernel_integral(kernel.beta, kernel.w, kernel.T, tol) / math.pi
 
 
-def _gl_nodes(m: int, R: float, w: float):
-    x, om = np.polynomial.legendre.leggauss(m)
-    theta = 0.5 * math.pi * x
-    r = R * np.sin(theta)
-    base = (0.5 * math.pi) * om * R ** (2.0 * w + 1.0) * np.cos(theta) ** (2.0 * w + 1.0)
-    return r, base
-
-
-def _batched_kernel_integrals(betas: np.ndarray, w: float, T: float,
-                              nodes: int = 96, tol: float = 1e-9) -> np.ndarray:
-    """Kernel integrals for many beta at once on a fixed Gauss-Legendre grid,
-    with a doubled-order consistency check."""
-    R = math.sqrt(T - 0.25)
-
-    def run(m: int) -> np.ndarray:
-        r, base = _gl_nodes(m, R, w)
-        weights = base / (1.0 + np.exp(-2.0 * math.pi * r))
-        out = np.empty(betas.size)
-        step = 16384  # keep the (beta x node) matrix under ~25 MB
-        for i in range(0, betas.size, step):
-            block = betas[i:i + step]
-            out[i:i + step] = np.exp(-2.0 * math.pi * np.outer(block, r)) @ weights
-        return out
-
-    coarse = run(nodes)
-    fine = run(2 * nodes)
-    scale = np.maximum(np.abs(fine), 1.0)
-    worst = float(np.max(np.abs(fine - coarse) / scale))
-    if worst > max(tol, 1e-12):
-        raise QuadratureError(
-            f"batched kernel rule did not converge: discrepancy {worst:.3e}")
-    return fine
-
-
-@lru_cache(maxsize=32)
-def _kernel_spline(w: float, T: float, tol: float) -> CubicSpline:
-    grid = np.linspace(0.0, 1.0, _BETA_GRID_POINTS)
-    vals = np.asarray([_kernel_integral(float(b), w, T, tol) for b in grid])
-    return CubicSpline(grid, vals)
-
-
-def _cone_counting_sum(q: int, w: float, T: float, tol: float,
-                       method: str) -> float:
-    """sum_{n=1}^{q-1} kernel(n/q) / (2 q sin(n pi/q)) for one cone."""
-    if method == "auto":
-        if q <= _ADAPTIVE_MAX_ORDER:
-            method = "adaptive"
-        elif q <= _INTERP_MIN_ORDER:
-            method = "batched"
-        else:
-            method = "interpolated"
-    if method == "adaptive":
-        total = 0.0
-        for n in range(1, q):
-            total += (_kernel_integral(n / q, w, T, tol)
-                      / (2.0 * q * math.sin(n * math.pi / q)))
-        return total
-    partials = []
-    for start in range(1, q, _CHUNK):
-        stop = min(start + _CHUNK, q)
-        n = np.arange(start, stop, dtype=float)
-        betas = n / q
-        if method == "batched":
-            kernels = _batched_kernel_integrals(betas, w, T, tol=max(tol, 1e-10))
-        elif method == "interpolated":
-            kernels = _kernel_spline(w, T, 1e-12)(betas)
-        else:
-            raise DomainError(f"unknown method '{method}'")
-        weights = 1.0 / (2.0 * q * np.sin(n * math.pi / q))
-        partials.append(float(np.sum(kernels * weights)))
-    return math.fsum(partials)
-
-
 def g_degenerating_counting(surface: SurfaceData, w: float, T: float,
-                            tol: float = 1e-10, method: str = "auto") -> float:
-    """Degenerating counting function: the kernel double sum over the
-    degenerating cones.  Zero whenever T <= 1/4, independently of the orders.
+                            tol: float = 1e-10) -> float:
+    """Degenerating counting function: the kernel double sum
+    sum_q sum_{n<q} int_{-R}^{R} (T - 1/4 - r^2)^w fermi(n/q, r) dr / (2q sin(n pi/q))
+    over the degenerating cones, to absolute tolerance tol.  Zero whenever
+    T <= 1/4, independently of the orders.
 
-    method: "adaptive" (per-n adaptive quadrature), "batched" (fixed-rule
-    quadrature vectorized over n), "interpolated" (cubic spline of the kernel
-    on a 256-point beta grid), or "auto" to pick by cone order.
+    The sum is cone_integral of the Fourier transform of (R^2 - r^2)_+^w,
+    R = sqrt(T - 1/4),
+
+        hhat(u) = Gamma(w+1)/(2 sqrt(pi)) (2R/u)^{w+1/2} J_{w+1/2}(R u)
+
+    (DLMF 10.9.4), which falls off like u^{-w-1}; the cone series sets the
+    decay e^{-u/2}.  One quadrature for all the orders, at any q.
     """
     if w < 0:
         raise DomainError(f"weight must be >= 0, got {w}")
     if T <= 0.25:
         return 0.0
-    return math.fsum(
-        _cone_counting_sum(int(q), w, T, tol, method)
-        for q in surface.degenerating_orders)
+    R = math.sqrt(T - 0.25)
+    nu = w + 0.5
+    scale = math.gamma(w + 1.0) / (2.0 * math.sqrt(math.pi))
+
+    def hhat(u: np.ndarray) -> np.ndarray:
+        return scale * (2.0 * R / u) ** nu * jv(nu, R * u)
+
+    return cone_integral(surface.degenerating_orders, hhat, 0.5, tol)
 
 
 def family_sweep(family: DegeneratingFamily, quantity: Callable) -> list:
-    """Evaluate quantity(member) across the schedule, optionally in parallel
-    (DEGENSPEC_THREADS caps the pool); results keep schedule order."""
-    members = family.members()
-    threads = int(os.environ.get("DEGENSPEC_THREADS", "1") or "1")
-    if threads > 1 and len(members) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(quantity, members))
-    return [quantity(m) for m in members]
+    """Evaluate quantity(member) across the schedule, in schedule order."""
+    return [quantity(m) for m in family.members()]
 
 
 def fit_slope_vs_logQ(family: DegeneratingFamily, quantity: Callable,

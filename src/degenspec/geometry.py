@@ -374,13 +374,3 @@ def load_family(path) -> DegeneratingFamily:
     rows = tuple(tuple(row) if isinstance(row, list) else (row,)
                  for row in schedule)
     return DegeneratingFamily(template=template, schedule=rows)
-
-
-def save_family(family: DegeneratingFamily, path) -> None:
-    payload = {
-        "surface": surface_to_dict(family.template),
-        "schedule": [list(row) for row in family.schedule],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

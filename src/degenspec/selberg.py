@@ -195,27 +195,3 @@ def selberg_z_prime_one(lengths, h: float = 1e-5) -> float:
                 break
         total *= factor ** mult
     return total
-
-
-def selberg_z_prime_one_numeric(lengths, h: float = 1e-5) -> float:
-    """Finite-difference route for Z'(1): the per-geodesic shifted factor
-    (e^{-l} - e^{-s l}) * prod_{n>=1}(1 - e^{-(s+n) l}) differentiated at
-    s = 1 by central differences, then multiplied over geodesics."""
-    pairs = _normalize_spectrum(lengths)
-    if not pairs:
-        raise DomainError("Z'(1) needs a nonempty spectrum")
-
-    def factor(ell: float, s: float) -> float:
-        out = math.exp(-ell) - math.exp(-s * ell)
-        for n in range(1, 100000):
-            x = math.exp(-(s + n) * ell)
-            out *= (1.0 - x)
-            if x < _CUTOFF:
-                break
-        return out
-
-    total = 1.0
-    for ell, mult in pairs:
-        deriv = (factor(ell, 1.0 + h) - factor(ell, 1.0 - h)) / (2.0 * h)
-        total *= deriv ** mult
-    return total

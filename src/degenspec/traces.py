@@ -39,6 +39,7 @@ __all__ = [
     "fermi_weight",
     "identity_trace",
     "hyperbolic_trace",
+    "cone_integral",
     "elliptic_trace_u",
     "elliptic_trace_r",
     "degenerating_trace",
@@ -206,7 +207,7 @@ def _coth_excess(y: np.ndarray) -> np.ndarray:
 
 def _cone_series(orders) -> Callable:
     """u -> cosh(u/2) sum_q (1/q) sum_{n<q} 1/(sinh^2(u/2) + sin^2(n pi/q))
-    for u > 0, through the closed form of the n-sum (see elliptic_trace_u).
+    for u > 0, through the closed form of the n-sum (see cone_integral).
 
     E(qx) for every distinct order q and E(x) are the rows of one matrix, so
     each step costs one array operation whatever the number of orders."""
@@ -224,43 +225,63 @@ def _cone_series(orders) -> Callable:
     return series
 
 
-def elliptic_trace_u(orders, t: float, tol: float = 1e-12) -> float:
-    """Elliptic trace in its u-integral form:
-    e^{-t/4}/sqrt(16 pi t) * sum_q sum_{n<q} (1/q)
-    int_0^inf e^{-u^2/4t} cosh(u/2)/(sinh^2(u/2) + sin^2(n pi/q)) du.
+def cone_integral(orders, hhat: Callable, decay: float, tol: float) -> float:
+    """Elliptic term of the trace formula for the cone orders, as one
+    u-integral: (1/2) int_0^inf hhat(u) F(u) du with F = _cone_series(orders),
+    to absolute tolerance tol.
 
-    The n-sum has a closed form (Hejhal, The Selberg Trace Formula for
-    PSL(2,R), vol. 2, 1983): with x = u/2,
+    hhat is the Fourier transform hhat(u) = (1/2pi) int h(r) e^{-iru} dr of an
+    even test function h, vectorized over u.  By Parseval and the closed form
+    of the n-sum (Hejhal, The Selberg Trace Formula for PSL(2,R), vol. 2,
+    1983), for every order q
 
-        S_q(u) = sum_{n<q} 1/(sinh^2 x + sin^2(n pi/q))
-               = 2q coth(qx)/sinh 2x - 1/sinh^2 x,
+        sum_{n<q} int_R h(r) fermi(n/q, r) dr / (2q sin(n pi/q))
+            = (1/2) int_0^inf hhat(u) cosh(u/2) S_q(u)/q du,
 
-    so every call is one quadrature of e^{-u^2/4t} cosh(x) sum_q S_q(u)/q,
-    whatever the orders.  The two terms of the closed form are both ~1/x^2
-    and cancel to (q^2 - 1)/3 as x -> 0.  With E(y) = (y coth y - 1)/y^2,
-    so that coth y = 1/y + y E(y), the 1/x terms cancel exactly and
+        S_q(u) = sum_{n<q} 1/(sinh^2(u/2) + sin^2(n pi/q))
+               = 2q coth(qu/2)/sinh u - 1/sinh^2(u/2).
+
+    With x = u/2 and E(y) = (y coth y - 1)/y^2, so that coth y = 1/y + y E(y),
+    the two ~1/x^2 terms cancel exactly and
 
         cosh(x) S_q(u)/q = (coth(qx) - coth(x)/q)/sinh x
                          = (x/sinh x) (q E(qx) - E(x)/q),
 
-    where x/sinh x = -2x e^{-x}/expm1(-2x) cannot overflow and E is summed
-    as a continued fraction for y < 1 and directly above.  The difference
-    loses at most a factor 2 to cancellation, at q = 2 and large x.
+    where x/sinh x = -2x e^{-x}/expm1(-2x) cannot overflow and E is summed as
+    a continued fraction for y < 1 and directly above.  The difference loses
+    at most a factor 2 to cancellation, at q = 2 and large x.  F falls off
+    like 2 e^{-u/2}, so decay = 1/2 fits any bounded hhat; an hhat narrower
+    than that needs the larger rate that matches its width.  The cost does
+    not grow with the orders.
     """
-    if not t > 0:
-        raise DomainError(f"time must be > 0, got {t}")
     orders = [int(q) for q in orders]
     if not orders:
         return 0.0
     if min(orders) < 2:
         raise DomainError(f"cone order must be >= 2, got {min(orders)}")
     series = _cone_series(orders)
+    res = integrate_semi_infinite(lambda u: hhat(u) * series(u),
+                                  decay=decay, tol=2.0 * tol)
+    return 0.5 * float(np.real(res.value))
+
+
+def elliptic_trace_u(orders, t: float, tol: float = 1e-12) -> float:
+    """Elliptic trace in its u-integral form:
+    e^{-t/4}/sqrt(16 pi t) * sum_q sum_{n<q} (1/q)
+    int_0^inf e^{-u^2/4t} cosh(u/2)/(sinh^2(u/2) + sin^2(n pi/q)) du,
+
+    that is e^{-t/4} times cone_integral of the Gaussian
+    hhat(u) = e^{-u^2/4t}/sqrt(4 pi t), the transform of h(r) = e^{-t r^2}:
+    one quadrature whatever the orders.  The map scale follows the
+    Gaussian's width sqrt(4t) down to any t > 0.
+    """
+    if not t > 0:
+        raise DomainError(f"time must be > 0, got {t}")
     quarter = 1.0 / (4.0 * t)
-    rate = min(max(0.5 / math.sqrt(t), 0.5), 50.0)  # u-scale ~ sqrt(4t)
-    res = integrate_semi_infinite(lambda u: np.exp(-u * u * quarter) * series(u),
-                                  decay=rate, tol=tol)
-    return math.exp(-t / 4.0) / math.sqrt(16.0 * math.pi * t) \
-        * float(np.real(res.value))
+    norm = 1.0 / math.sqrt(4.0 * math.pi * t)
+    rate = max(0.5 / math.sqrt(t), 0.5)  # u-scale ~ sqrt(4t)
+    return math.exp(-t / 4.0) * cone_integral(
+        orders, lambda u: norm * np.exp(-u * u * quarter), rate, tol)
 
 
 def elliptic_trace_r(orders, t: float, tol: float = 1e-12) -> float:
@@ -492,16 +513,8 @@ def geometric_side(surface: SurfaceData, pair: TestFunctionPair,
                 break
     total += hyper
 
-    for q in surface.elliptic_orders:
-        for n in range(1, q):
-            beta = n / q
-
-            def integrand(r: np.ndarray, b=beta):
-                hv = np.asarray([H(ri) for ri in r])
-                return hv * (fermi_weight(b, r) + fermi_weight(b, -r))
-
-            res = integrate_semi_infinite(integrand, decay=0.5, tol=tol)
-            total += float(np.real(res.value)) / (2.0 * q * math.sin(n * math.pi / q))
+    total += cone_integral(surface.elliptic_orders, _as_array_fn(pair.Hhat),
+                           0.5, tol)
     return total
 
 

@@ -14,7 +14,6 @@ from degenspec.degeneration import (CwKernel, SlopeFit, c_w_kernel,
                                     elliptic_sum_s, error_term_experiment,
                                     fit_slope_vs_logQ, g_degenerating_counting,
                                     optimize_epsilon)
-from degenspec.degeneration import _cone_counting_sum
 from degenspec.errors import DomainError, FitError
 from degenspec.geometry import DegeneratingFamily, SurfaceData, hecke_family
 
@@ -140,14 +139,20 @@ class TestCountingSum:
         assert g_degenerating_counting(s, w, T) == pytest.approx(oracle,
                                                                  abs=1e-9)
 
-    def test_paths_agree(self):
-        # adaptive / batched / interpolated produce the same double sum
-        for q in (64, 300):
-            a = _cone_counting_sum(q, 0.0, 1.25, 1e-12, "adaptive")
-            b = _cone_counting_sum(q, 0.0, 1.25, 1e-12, "batched")
-            c = _cone_counting_sum(q, 0.0, 1.25, 1e-12, "interpolated")
-            assert b == pytest.approx(a, abs=1e-11)
-            assert c == pytest.approx(a, abs=5e-9)
+    @pytest.mark.parametrize("q,T,w", [
+        (64, 1.25, 0.0), (64, 1.25, 1.0), (64, 10.0, 0.0), (64, 10.0, 1.0),
+        (64, 50.0, 0.0), (64, 50.0, 1.0), (300, 1.25, 0.0), (300, 10.0, 0.0),
+        (300, 10.0, 1.0), (300, 50.0, 0.0)])
+    def test_matches_per_n_kernel_sum(self, q, T, w):
+        # the u-integral against the defining double sum, one public c_w
+        # quadrature per n
+        oracle = math.fsum(
+            math.pi * c_w_kernel(CwKernel(T=T, w=w, beta=n / q), tol=1e-12)
+            / (2 * q * math.sin(n * math.pi / q)) for n in range(1, q))
+        s = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 3, q),
+                        degenerating=(2,))
+        assert g_degenerating_counting(s, w, T, tol=1e-12) == pytest.approx(
+            oracle, abs=1e-11)
 
     def test_multiple_cones_additive(self):
         s2 = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 40, 60),

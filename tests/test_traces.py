@@ -17,6 +17,7 @@ from degenspec.errors import (AdmissibilityError, AlphaCollisionError,
                               DomainError, InvariantViolation)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.hplane import heat_kernel_h
+from degenspec.special_fn import integrate_semi_infinite
 from degenspec.traces import (TestFunctionPair, TraceSeries, _cone_series,
                               degenerating_trace,
                               elliptic_trace_r, elliptic_trace_u, fermi_weight,
@@ -194,6 +195,13 @@ class TestEllipticTraces:
             oracle = float(mp.exp(-t / 4) / mp.sqrt(16 * mp.pi * t) * total)
         assert val == pytest.approx(oracle, rel=1e-11)
 
+    @pytest.mark.parametrize("orders", [(2, 3), (50,)])
+    @pytest.mark.parametrize("t", [1e-14, 1e-16])
+    def test_tiny_time_limit(self, orders, t):
+        # ETr -> b_0 = sum (q^2 - 1)/(12 q) as t -> 0, with an O(t) remainder
+        b0 = math.fsum((q * q - 1) / (12.0 * q) for q in orders)
+        assert elliptic_trace_u(orders, t) == pytest.approx(b0, rel=1e-11)
+
     def test_order_validation(self):
         with pytest.raises(DomainError):
             elliptic_trace_u([1], 1.0)
@@ -325,6 +333,26 @@ class TestTraceFormulaSides:
         gs = geometric_side(compact_surface, pair, tol=1e-11)
         assert gs == pytest.approx(
             math.exp(t0 / 4.0) * standard_trace(compact_surface, t0), rel=1e-8)
+
+    def test_cone_term_matches_per_n_r_integrals(self, bare_surface):
+        # the cone term against its defining sum over (q, n) of r-integrals
+        # of H against the Fermi weight; the identity term is the bare
+        # surface's, rescaled by volume
+        pair = TestFunctionPair.from_h(lambda t: t * np.exp(-0.7 * t))
+        surface = SurfaceData(genus=2, num_cusps=0, elliptic_orders=(2, 3, 7))
+        cone = 0.0
+        for q in surface.elliptic_orders:
+            for n in range(1, q):
+                def integrand(r, b=n / q):
+                    hv = np.asarray([pair.H(ri) for ri in r])
+                    return hv * (fermi_weight(b, r) + fermi_weight(b, -r))
+
+                res = integrate_semi_infinite(integrand, decay=0.5, tol=1e-11)
+                cone += res.value / (2 * q * math.sin(n * math.pi / q))
+        ident = geometric_side(bare_surface, pair, tol=1e-11) \
+            * surface.volume / bare_surface.volume
+        assert geometric_side(surface, pair, tol=1e-11) == pytest.approx(
+            ident + cone, abs=1e-10)
 
     def test_empty_surface_identity_only(self, bare_surface):
         t0 = 1.0

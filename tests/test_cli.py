@@ -9,8 +9,7 @@ from degenspec import cli
 
 
 def test_hecke_sweep_slope(capsys):
-    # T = 10 with orders up to 1e5, the band where the counting sum once
-    # raised QuadratureError and the command exited 3
+    # orders 1e3 to 1e5 at T = 10, where the kernel is steep in beta = n/q
     argv = ["hecke-sweep", "--N", "1000,10000,100000", "--T", "10",
             "--tol", "1e-10"]
     assert cli.main(argv) == cli.EXIT_OK

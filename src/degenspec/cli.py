@@ -24,6 +24,7 @@ from .errors import (DegenspecError, DomainError, InvariantViolation,
                      ParseError, QuadratureError)
 from .geometry import (hecke_family, load_family, load_surface,
                        surface_to_dict)
+from .special_fn import as_array_fn
 
 __all__ = ["RunConfig", "run", "emit_csv", "emit_svg", "parse_grid", "main"]
 
@@ -287,18 +288,6 @@ def _run_count(config: RunConfig) -> Table:
     return Table(columns=["T", "w", "N"], rows=rows, comments=_comments(config))
 
 
-def _surface_trace_fn(surface, tol):
-    provider = traces.surface_trace_provider(surface, tol)
-
-    def trace(t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return provider(float(arr))
-        return np.asarray([provider(float(x)) for x in arr])
-
-    return trace
-
-
 def _surface_expansion(surface, trace, n: int = 3):
     """Small-time expansion of a surface's geometric trace: the exact 1/t
     coefficient vol/4pi plus fitted regular powers."""
@@ -311,7 +300,8 @@ def _run_zeta(config: RunConfig) -> Table:
     surface = load_surface(config.input_path)
     if not config.s_grid:
         raise DomainError("zeta needs an s-grid (--s start:stop:count)")
-    trace = _surface_trace_fn(surface, max(config.tol, 1e-12))
+    trace = as_array_fn(traces.surface_trace_provider(
+        surface, max(config.tol, 1e-12)))
     coeffs = _surface_expansion(surface, trace)
     n_sub = 1
     rows = []
@@ -345,7 +335,7 @@ def _run_selberg(config: RunConfig) -> Table:
 
 def _run_det(config: RunConfig) -> Table:
     surface = load_surface(config.input_path)
-    trace = _surface_trace_fn(surface, 1e-12)
+    trace = as_array_fn(traces.surface_trace_provider(surface, 1e-12))
     coeffs = _surface_expansion(surface, trace)
     det_tol = max(config.tol * 0.1, 1e-11)
     if config.alpha is not None:

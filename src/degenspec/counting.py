@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ModelValidationError
-from .special_fn import digamma, integrate_finite, log_gamma
+from .special_fn import as_array_fn, digamma, integrate_finite, log_gamma
 
 __all__ = [
     "ScatteringModel",
@@ -105,11 +105,10 @@ def _weighted_interval_integral(g: Callable, w: float, T: float,
     via r = R sin(theta) which absorbs the endpoint factor cos^{2w+1}."""
     R = math.sqrt(T - 0.25)
     two_w = 2.0 * w + 1.0
+    g = as_array_fn(g)
 
     def integrand(theta: np.ndarray):
-        r = R * np.sin(theta)
-        gv = np.asarray([g(float(ri)) for ri in r], dtype=float)
-        return R ** (2.0 * w + 1.0) * np.cos(theta) ** two_w * gv
+        return R ** two_w * np.cos(theta) ** two_w * g(R * np.sin(theta))
 
     res = integrate_finite(integrand, -0.5 * math.pi, 0.5 * math.pi, tol)
     return float(np.real(res.value))

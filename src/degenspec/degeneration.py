@@ -108,9 +108,21 @@ def _kernel_integral(beta: float, w: float, T: float, tol: float) -> float:
 
 
 def c_w_kernel(kernel: CwKernel, tol: float = 1e-12) -> float:
-    """The moment integral divided by pi; returns 0 when T <= 1/4."""
+    """The moment integral divided by pi; returns 0 when T <= 1/4.
+
+    At beta = 0 the Fermi weights at r and -r add up to 1, so the integral is
+    half the Beta integral and
+    c_w(T) = R^{2w+1} Gamma(w+1)/(2 sqrt(pi) Gamma(w+3/2)), R = sqrt(T - 1/4),
+    which is R/pi at w = 0; beta > 0 is a quadrature to tol.
+    """
     if kernel.T <= 0.25:
         return 0.0
+    if kernel.beta == 0.0:
+        w = kernel.w
+        R = math.sqrt(kernel.T - 0.25)
+        return (R ** (2.0 * w + 1.0) * math.exp(math.lgamma(w + 1.0)
+                                               - math.lgamma(w + 1.5))
+                / (2.0 * math.sqrt(math.pi)))
     return _kernel_integral(kernel.beta, kernel.w, kernel.T, tol) / math.pi
 
 

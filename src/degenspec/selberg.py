@@ -7,8 +7,15 @@ Four routes to the same logarithmic derivative Z'/Z:
 3. the K-Bessel form (2s-1) sum l/(sqrt(16 pi) sinh(n l/2)) K_{1/2}(s-1/2, n l/2);
 4. the heat-trace integral (2s-1) int_0^inf HTr(t) e^{-s(s-1)t} dt.
 
-The product and series converge for Re(s) > 1; the integral only needs the
-weaker certificate Re(s^2 - s) > -1/4 and reaches the critical line.
+Routes 1, 3 and 4 share one (geodesic, n) sum, traces.geodesic_sum, with
+the weights e^{-(s-1/2)x}, the K-Bessel integral and the heat kernel's
+Gaussian; the integral evaluates HTr on all its quadrature nodes at once.
+
+The product and series converge for Re(s) > 1.  HTr(t) falls off like
+e^{-t/4}/sqrt(t), so the integral converges exactly where
+Re(s^2 - s) > -1/4, that is |Im s| < |Re s - 1/2|: it reaches the critical
+line near the real axis but not above Re(s) > 1 at large |Im s|, where
+selberg_logderiv_integral returns the series instead.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .special_fn import KBesselArgs, integrate_semi_infinite, k_bessel
-from .traces import hyperbolic_sum_reduced, _normalize_spectrum
+from .special_fn import (KBesselArgs, as_array_fn, integrate_semi_infinite,
+                         k_bessel)
+from .traces import _normalize_spectrum, geodesic_sum, hyperbolic_sum_reduced
 
 __all__ = [
     "LogDerivEvaluation",
@@ -50,17 +58,6 @@ def _require_half_plane(s: complex) -> None:
         raise DomainError(f"requires Re(s) > 1, got Re(s) = {s.real}")
 
 
-def _integral_certificate(s: complex) -> str:
-    if s.real > 1.0:
-        return "Re(s)>1"
-    q = s * s - s
-    if q.real > -0.25:
-        return "Re(s^2-s)>-1/4"
-    raise DomainError(
-        f"s = {s} fails both certificates: Re(s) = {s.real} <= 1 and "
-        f"Re(s^2 - s) = {q.real} <= -1/4")
-
-
 def selberg_zeta_product(lengths, s, tol: float = 1e-15) -> complex:
     """Euler product Z(s) = prod_geodesics prod_{n>=0} (1 - e^{-(s+n) l}),
     truncated once the remaining factors differ from 1 below tol.
@@ -80,41 +77,37 @@ def selberg_zeta_product(lengths, s, tol: float = 1e-15) -> complex:
 
 
 def selberg_logderiv_series(lengths, s) -> LogDerivEvaluation:
-    """Double series for Z'/Z(s), Re(s) > 1, relative-threshold truncated."""
+    """Double series for Z'/Z(s), Re(s) > 1, through geodesic_sum."""
     s = complex(s)
     _require_half_plane(s)
-    total = 0.0 + 0.0j
-    for ell, mult in _normalize_spectrum(lengths):
-        for n in range(1, 100000):
-            nl = n * ell
-            if nl / 2.0 > 700:
-                break
-            term = ell / (2.0 * math.sinh(nl / 2.0)) * np.exp(-(s - 0.5) * nl)
-            total += mult * term
-            if abs(term) <= _CUTOFF * max(abs(total), 1.0):
-                break
+    total = geodesic_sum(lengths, lambda x: np.exp(-(s - 0.5) * x))
     return LogDerivEvaluation(s=s, value=complex(total),
                               representation="series",
                               domain_certificate="Re(s)>1")
 
 
 def selberg_logderiv_integral(lengths, s, tol: float = 1e-12) -> LogDerivEvaluation:
-    """Z'/Z(s) = (2s-1) int_0^inf HTr(t) e^{-s(s-1)t} dt, valid on the wider
-    region Re(s^2 - s) > -1/4 certified before evaluation."""
+    """Z'/Z(s) = (2s-1) int_0^inf HTr(t) e^{-s(s-1)t} dt where the integral
+    converges, Re(s^2 - s) > -1/4; certified "Re(s)>1" when also Re(s) > 1.
+
+    For Re(s) > 1 outside that region the value is the series
+    (representation "series"); elsewhere DomainError.
+    """
     s = complex(s)
-    cert = _integral_certificate(s)
     q = s * (s - 1.0)
+    if not q.real > -0.25:
+        if s.real > 1.0:
+            return selberg_logderiv_series(lengths, s)
+        raise DomainError(
+            f"s = {s} has Re(s) = {s.real} <= 1 and Re(s^2 - s) = {q.real} "
+            "<= -1/4, where neither the series nor the integral converges")
+    cert = "Re(s)>1" if s.real > 1.0 else "Re(s^2-s)>-1/4"
     pairs = _normalize_spectrum(lengths)
-    if not pairs:
-        return LogDerivEvaluation(s=s, value=0.0 + 0.0j,
-                                  representation="integral",
-                                  domain_certificate=cert)
 
     # HTr(t) e^{-qt} = e^{-(1/4+q)t} S(t)/sqrt(16 pi t); combining the
     # exponentials keeps the integrand finite when Re(q) < 0 grows the weight
     def integrand(t: np.ndarray):
-        red = np.asarray([hyperbolic_sum_reduced(pairs, float(x)) for x in t])
-        return (np.exp(-(0.25 + q) * t) * red
+        return (np.exp(-(0.25 + q) * t) * hyperbolic_sum_reduced(pairs, t)
                 / np.sqrt(16.0 * math.pi * t))
 
     rate = 0.25 + q.real
@@ -133,17 +126,10 @@ def selberg_logderiv_kbessel(lengths, s, tol: float = 1e-13) -> LogDerivEvaluati
         raise DomainError("K-Bessel route requires real s")
     s = float(s_c.real)
     _require_half_plane(s_c)
-    total = 0.0
-    for ell, mult in _normalize_spectrum(lengths):
-        for n in range(1, 100000):
-            nl = n * ell
-            if nl / 2.0 > 700:
-                break
-            bessel = k_bessel(KBesselArgs(s=0.5, a=s - 0.5, b=nl / 2.0), tol=tol)
-            term = ell / (math.sqrt(16.0 * math.pi) * math.sinh(nl / 2.0)) * bessel
-            total += mult * term
-            if abs(term) <= _CUTOFF * max(abs(total), 1.0):
-                break
+    bessel = as_array_fn(
+        lambda x: k_bessel(KBesselArgs(s=0.5, a=s - 0.5, b=x / 2.0), tol=tol))
+    # l/(sqrt(16 pi) sinh(n l/2)) = (l/(2 sinh(n l/2)))/sqrt(4 pi)
+    total = geodesic_sum(lengths, bessel) / math.sqrt(4.0 * math.pi)
     return LogDerivEvaluation(s=s_c, value=complex((2.0 * s - 1.0) * total),
                               representation="kbessel",
                               domain_certificate="Re(s)>1")
@@ -171,27 +157,18 @@ def truncated_logderiv(lengths, small_eigenvalues, alpha: float, s,
     return total
 
 
-def selberg_z_prime_one(lengths, h: float = 1e-5) -> float:
+def selberg_z_prime_one(lengths) -> float:
     """Regularized Z'(1) of a finite model spectrum.
 
     Each geodesic factor is regularized separately: its n = 0 factor, which
     models the zero of the full zeta at s = 1, is replaced by the shifted
     factor e^{-l} - e^{-s l} (vanishing linearly at s = 1) and the limit off
     the zero is taken per factor, giving the product of
-    l e^{-l} prod_{n>=1}(1 - e^{-(1+n) l}) over geodesics.  A central
-    difference of the shifted factors at s = 1 +- h cross-checks the
-    analytic removal to O(h^2).
+    l e^{-l} prod_{n>=1}(1 - e^{-(1+n) l}) over geodesics.  Its n-products
+    together are the Euler product at s = 2.
     """
     pairs = _normalize_spectrum(lengths)
     if not pairs:
         raise DomainError("Z'(1) needs a nonempty spectrum")
-    total = 1.0
-    for ell, mult in pairs:
-        factor = ell * math.exp(-ell)
-        for n in range(1, 100000):
-            x = math.exp(-(1.0 + n) * ell)
-            factor *= (1.0 - x)
-            if x < _CUTOFF:
-                break
-        total *= factor ** mult
-    return total
+    shifted = math.prod((ell * math.exp(-ell)) ** mult for ell, mult in pairs)
+    return shifted * selberg_zeta_product(pairs, 2.0, tol=_CUTOFF).real

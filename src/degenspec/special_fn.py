@@ -30,6 +30,7 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_real_line",
+    "as_array_fn",
 ]
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1] (QUADPACK).
@@ -99,19 +100,25 @@ class KBesselArgs:
             raise DomainError("K-Bessel integral requires a > 0 and b > 0")
 
 
-def _vectorized(f: Callable) -> Callable:
-    """Return a callable mapping ndarray -> ndarray, wrapping scalar-only f."""
+def as_array_fn(f: Callable) -> Callable:
+    """Lift f to a callable mapping an ndarray of any shape, 0-d included, to
+    an ndarray of the same shape.
 
-    def call(x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", under="ignore", invalid="ignore",
-                         divide="ignore"):
+    f is called once on the whole array; if it raises TypeError/ValueError or
+    returns another shape (a scalar-only f), it is called on float(xi) element
+    by element.  Floating-point warnings are ignored either way.
+    """
+
+    def call(x) -> np.ndarray:
+        x = np.asarray(x)
+        with np.errstate(all="ignore"):
             try:
                 y = np.asarray(f(x))
                 if y.shape == x.shape:
                     return y
             except (TypeError, ValueError):
                 pass
-            return np.asarray([f(float(xi)) for xi in x])
+            return np.asarray([f(float(xi)) for xi in x.ravel()]).reshape(x.shape)
 
     return call
 
@@ -193,7 +200,7 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = _DEFAULT_TOL,
     Endpoint algebraic singularities of integrable type are admissible: the
     rule is open, and adaptive bisection concentrates panels at the endpoint.
     """
-    return _adaptive(_vectorized(f), float(a), float(b), tol, limit, points)
+    return _adaptive(as_array_fn(f), float(a), float(b), tol, limit, points)
 
 
 def integrate_semi_infinite(f: Callable, decay: float = 1.0,
@@ -210,7 +217,7 @@ def integrate_semi_infinite(f: Callable, decay: float = 1.0,
     if decay <= 0:
         raise DomainError("decay hint must be > 0")
     L = 1.0 / float(decay)
-    fvec = _vectorized(f)
+    fvec = as_array_fn(f)
 
     def g(u: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", under="ignore", invalid="ignore",
@@ -230,7 +237,7 @@ def integrate_real_line(f: Callable, decay: float = 1.0,
                         tol: float = _DEFAULT_TOL, *,
                         limit: int = _DEFAULT_LIMIT) -> QuadratureResult:
     """Integrate f over (-inf, inf) by folding onto (0, inf)."""
-    fvec = _vectorized(f)
+    fvec = as_array_fn(f)
 
     def folded(t: np.ndarray) -> np.ndarray:
         return fvec(t) + fvec(-t)

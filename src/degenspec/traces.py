@@ -10,6 +10,12 @@ and the identity contribution proportional to the plane kernel on the
 diagonal.  The degenerating trace DTr is the elliptic trace restricted to
 the cones being opened into cusps.
 
+Every hyperbolic term, of the heat trace, of the geometric side and of the
+Selberg routes, is geodesic_sum: the (geodesic, n) sum of
+mult l/(2 sinh(n l/2)) weight(n l), with weight vectorized over n l.  It
+keeps the terms with n l/2 <= 42 + log max(l, 1), which leaves each
+length's dropped tail below ~1e-18 sup|weight| per unit multiplicity.
+
 transform_H / transform_Hhat are the Laplace-type and Gaussian transforms
 pairing a decay-certified test function h with the two sides of the trace
 formula; geometric_side / spectral_side_compact / noncompact_spectral_terms
@@ -31,13 +37,14 @@ from .errors import (AdmissibilityError, AlphaCollisionError, DomainError,
                      InvariantViolation)
 from .geometry import SurfaceData
 from .hplane import heat_kernel_h
-from .special_fn import digamma, integrate_semi_infinite
+from .special_fn import as_array_fn, digamma, integrate_semi_infinite
 
 __all__ = [
     "TraceSeries",
     "TestFunctionPair",
     "fermi_weight",
     "identity_trace",
+    "geodesic_sum",
     "hyperbolic_trace",
     "cone_integral",
     "elliptic_trace_u",
@@ -53,9 +60,6 @@ __all__ = [
     "noncompact_spectral_terms",
     "surface_trace_provider",
 ]
-
-_TERM_CUTOFF = 1e-18
-
 
 @dataclass(frozen=True)
 class TraceSeries:
@@ -127,10 +131,10 @@ def identity_trace(vol: float, t: float, tol: float = 1e-12) -> float:
 def _normalize_spectrum(spectrum):
     out = []
     for entry in spectrum:
-        if np.isscalar(entry):
-            out.append((float(entry), 1))
-        else:
+        try:
             out.append((float(entry[0]), int(entry[1])))
+        except (TypeError, IndexError):  # a bare length
+            out.append((float(entry), 1))
     out.sort()
     for ell, mult in out:
         if ell <= 0 or mult < 1:
@@ -138,42 +142,61 @@ def _normalize_spectrum(spectrum):
     return out
 
 
-def hyperbolic_sum_reduced(spectrum, t: float) -> float:
+_GEODESIC_EXPONENT = 42.0  # the term cut of geodesic_sum
+
+
+@lru_cache(maxsize=64)
+def _geodesic_terms(pairs: tuple) -> tuple:
+    """Arrays x = n l and c = mult l/(2 sinh(x/2)) over the kept (geodesic, n)
+    terms of a normalized spectrum, read-only and shared by every call."""
+    xs, cs = [], []
+    for ell, mult in pairs:
+        count = math.ceil(2.0 * (_GEODESIC_EXPONENT + math.log(max(ell, 1.0))) / ell)
+        x = ell * np.arange(1, count + 1)
+        xs.append(x)
+        # l/(2 sinh(x/2)) = l e^{-x/2}/(1 - e^{-x}), without overflow
+        cs.append(mult * ell * np.exp(-0.5 * x) / -np.expm1(-x))
+    x = np.concatenate([np.zeros(0), *xs])
+    c = np.concatenate([np.zeros(0), *cs])
+    x.setflags(write=False)
+    c.setflags(write=False)
+    return x, c
+
+
+def geodesic_sum(spectrum, weight: Callable):
+    """The (geodesic, n) sum of mult l/(2 sinh(n l/2)) weight(n l) over the
+    length spectrum, n >= 1.
+
+    weight maps the array x of every kept n l to its values along the last
+    axis, so a weight batched over an outer axis (of t, say) gives one sum
+    per batch entry.  Terms are kept while n l/2 <= 42 + log max(l, 1): a
+    length's dropped tail is then below ~1e-18 sup|weight| per unit
+    multiplicity.  The term arrays are built once per spectrum.
+    """
+    x, c = _geodesic_terms(tuple(_normalize_spectrum(spectrum)))
+    return weight(x) @ c
+
+
+def hyperbolic_sum_reduced(spectrum, t):
     """The (geodesic, n) sum of l/sinh(n l/2) e^{-(n l)^2/4t}, without the
     e^{-t/4}/sqrt(16 pi t) prefactor (which callers fold into their own
-    exponential weights to avoid overflow)."""
-    if not t > 0:
+    exponential weights to avoid overflow).  t may be an array, giving one
+    sum per entry; a scalar t gives a float."""
+    tt = np.asarray(t, dtype=float)
+    if not (tt > 0).all():
         raise DomainError(f"time must be > 0, got {t}")
-    pairs = _normalize_spectrum(spectrum)
-    total = 0.0
-    for ell, mult in pairs:
-        geo = 0.0
-        first = None
-        for n in range(1, 100000):
-            nl = n * ell
-            term = ell * math.exp(-nl * nl / (4.0 * t)) / math.sinh(nl / 2.0) \
-                if nl / 2.0 < 700 else 0.0
-            if first is None:
-                first = term
-            geo += term
-            if term <= _TERM_CUTOFF * max(abs(total + mult * geo), 1.0):
-                break
-        total += mult * geo
-        if first is not None and first <= _TERM_CUTOFF * max(abs(total), 1.0):
-            break  # lengths ascend, later geodesics only smaller
-    return total
+    four_t = 4.0 * tt[..., None]
+    total = 2.0 * geodesic_sum(spectrum, lambda x: np.exp(-x * x / four_t))
+    return float(total) if tt.ndim == 0 else total
 
 
 def hyperbolic_trace(spectrum, t: float) -> float:
     """Hyperbolic trace e^{-t/4}/sqrt(16 pi t) * sum over (geodesic, n) of
-    l/sinh(n l/2) e^{-(n l)^2/4t}.
-
-    The (geodesic, n) series is cut once a term falls below 1e-18 of the
-    running sum; the Gaussian factor makes the tail monotone so the cut is
-    safe.
-    """
-    total = hyperbolic_sum_reduced(spectrum, t)
-    return math.exp(-t / 4.0) / math.sqrt(16.0 * math.pi * t) * total
+    l/sinh(n l/2) e^{-(n l)^2/4t}, summed by geodesic_sum; scalar t."""
+    if not t > 0:
+        raise DomainError(f"time must be > 0, got {t}")
+    return (math.exp(-t / 4.0) / math.sqrt(16.0 * math.pi * t)
+            * hyperbolic_sum_reduced(spectrum, t))
 
 
 # E(y) = (y coth y - 1)/y^2 below _CF_BELOW: Lambert's continued fraction
@@ -401,7 +424,7 @@ def _certify_decay(h: Callable) -> float:
     tail of a log grid; AdmissibilityError when none qualifies."""
     t = np.geomspace(0.1, 60.0, 40)
     tail = t >= 5.0
-    habs = np.abs(np.asarray([h(ti) for ti in t], dtype=complex))
+    habs = np.abs(h(t))
     for eps in _EPS_LADDER:
         g = habs * np.exp((0.25 + eps) * t)
         gt = g[tail]
@@ -432,8 +455,8 @@ class TestFunctionPair:
 
     @classmethod
     def from_h(cls, h: Callable) -> "TestFunctionPair":
-        eps = _certify_decay(h)
-        hv = _as_array_fn(h)
+        hv = as_array_fn(h)
+        eps = _certify_decay(hv)
         return cls(h=hv,
                    H=lambda r: transform_H(hv, r),
                    Hhat=lambda u: transform_Hhat(hv, u),
@@ -442,8 +465,8 @@ class TestFunctionPair:
     @classmethod
     def analytic(cls, h: Callable, H: Callable, Hhat: Callable,
                  check_tol: float = 1e-7) -> "TestFunctionPair":
-        eps = _certify_decay(h)
-        hv = _as_array_fn(h)
+        hv = as_array_fn(h)
+        eps = _certify_decay(hv)
         for r in (0.5, 1.5):
             if abs(transform_H(hv, r) - H(r)) > check_tol * (1 + abs(H(r))):
                 raise AdmissibilityError(
@@ -472,49 +495,21 @@ class TestFunctionPair:
                    epsilon=math.inf)
 
 
-def _as_array_fn(h: Callable) -> Callable:
-    def call(t):
-        arr = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
-            try:
-                out = np.asarray(h(arr))
-                if out.shape == arr.shape:
-                    return out
-            except (TypeError, ValueError):
-                pass
-            if arr.ndim == 0:
-                return np.asarray(h(float(arr)))
-            return np.asarray([h(float(x)) for x in arr])
-
-    return call
-
-
 def geometric_side(surface: SurfaceData, pair: TestFunctionPair,
                    tol: float = 1e-10) -> float:
     """Geometric side of the trace formula for the pair (H, Hhat):
     identity + hyperbolic + elliptic terms assembled from the surface data."""
-    H = pair.H
+    H = as_array_fn(pair.H)
 
     def identity_integrand(r: np.ndarray):
-        return np.asarray([H(ri) for ri in r]) * np.tanh(math.pi * r) * r
+        return H(r) * np.tanh(math.pi * r) * r
 
     ident = integrate_semi_infinite(identity_integrand, decay=0.5, tol=tol)
     total = surface.volume / (2.0 * math.pi) * float(np.real(ident.value))
 
-    hyper = 0.0
-    for ell, mult in surface.length_spectrum:
-        for n in range(1, 100000):
-            nl = n * ell
-            if nl / 2.0 > 700:
-                break
-            term = ell / (2.0 * math.sinh(nl / 2.0)) * pair.Hhat(nl)
-            hyper += mult * term
-            if abs(term) <= _TERM_CUTOFF * max(abs(hyper), 1.0):
-                break
-    total += hyper
-
-    total += cone_integral(surface.elliptic_orders, _as_array_fn(pair.Hhat),
-                           0.5, tol)
+    Hhat = as_array_fn(pair.Hhat)
+    total += geodesic_sum(surface.length_spectrum, Hhat)
+    total += cone_integral(surface.elliptic_orders, Hhat, 0.5, tol)
     return total
 
 
@@ -540,23 +535,21 @@ def noncompact_spectral_terms(p: int, scattering: ScatteringModel,
     if p < 0:
         raise DomainError(f"cusp count must be >= 0, got {p}")
     scattering.validate(p)
-    H = pair.H
-    phi = scattering.phi_log_deriv
+    H = as_array_fn(pair.H)
+    phi = as_array_fn(scattering.phi_log_deriv)
 
     def phi_integrand(r: np.ndarray):
-        hv = np.asarray([H(ri) for ri in r])
-        pv = np.asarray([phi(ri) + phi(-ri) for ri in r])
-        return hv * pv
+        return H(r) * (phi(r) + phi(-r))
 
     total = 0.0
     phi_term = integrate_semi_infinite(phi_integrand, decay=0.5, tol=tol)
     total -= float(np.real(phi_term.value)) / (4.0 * math.pi)
 
     if p > 0:
+        psi = as_array_fn(lambda r: digamma(1.0 + 1j * r).real)
+
         def psi_integrand(r: np.ndarray):
-            hv = np.asarray([H(ri) for ri in r])
-            pv = np.asarray([digamma(1.0 + 1j * ri).real for ri in r])
-            return hv * pv
+            return H(r) * psi(r)
 
         psi_term = integrate_semi_infinite(psi_integrand, decay=0.5, tol=tol)
         total += p / math.pi * float(np.real(psi_term.value))

@@ -26,9 +26,10 @@ from .errors import (AlphaCollisionError, ConvergenceError, DivergenceError,
                      StripViolationError)
 from .geometry import DegeneratingFamily
 from .hplane import heat_kernel_h
-from .special_fn import (integrate_finite, integrate_semi_infinite,
-                         reciprocal_gamma)
-from .traces import elliptic_trace_u, hyperbolic_trace
+from .special_fn import (as_array_fn, integrate_finite,
+                         integrate_semi_infinite, reciprocal_gamma)
+from .traces import (degenerating_trace, elliptic_trace_u, hyperbolic_trace,
+                     standard_trace)
 
 __all__ = [
     "HeatCoefficients",
@@ -303,7 +304,7 @@ def heat_coefficients(trace: Callable, n: int, *, t_min: float = 2e-4,
     if not 0 < t_min < t_max:
         raise DomainError("need 0 < t_min < t_max")
     grid = np.linspace(t_min, t_max, points)
-    samples = np.asarray([float(trace(float(t))) * float(t) for t in grid])
+    samples = np.asarray(as_array_fn(trace)(grid), dtype=float) * grid
     floor = _FIT_FLOOR * float(np.max(np.abs(samples)))
     best = None
     for degree in range(n + 1, max(points, n + 2)):
@@ -348,7 +349,7 @@ def fit_trace_expansion(trace: Callable, powers, *, known=(),
     powers = [float(p) for p in powers]
     known = [(float(p), float(c)) for p, c in known]
     grid = np.linspace(t_min, t_max, points)
-    samples = np.asarray([float(trace(float(t))) for t in grid])
+    samples = np.asarray(as_array_fn(trace)(grid), dtype=float)
     for p, c in known:
         samples = samples - c * grid ** p
     if not powers:
@@ -680,16 +681,8 @@ def _difference_trace_parts(family: DegeneratingFamily, alpha: float) -> tuple:
     def kernel0_scalar(t: float) -> float:
         return heat_kernel_h(t, 0.0)
 
-    def vectorize(fn):
-        def call(t):
-            arr = np.asarray(t, dtype=float)
-            if arr.ndim == 0:
-                return fn(float(arr))
-            return np.asarray([fn(float(x)) for x in arr.ravel()]).reshape(arr.shape)
-        return call
-
     modes = [float(lam) for lam in subs if lam > 0]
-    return (vectorize(common_scalar), vectorize(kernel0_scalar),
+    return (as_array_fn(common_scalar), as_array_fn(kernel0_scalar),
             -float(zero_modes), modes)
 
 
@@ -697,26 +690,13 @@ def _direct_member_value(family, alpha, k, s, n_subtractions, tol):
     """Two-term route: truncated zeta of the member minus the Mellin
     transform of its degenerating trace, each continued separately."""
     member = family.member(k)
-    from .traces import standard_trace, degenerating_trace
-
-    def full_trace(t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return standard_trace(member, float(arr))
-        return np.asarray([standard_trace(member, float(x)) for x in arr])
-
     # c_M = 0 is the tail of the geometric-side trace itself; truncated_zeta
     # accounts for the subtracted modes' tail on its own
-    tz = truncated_zeta(full_trace, alpha, s,
+    tz = truncated_zeta(as_array_fn(lambda t: standard_trace(member, t)),
+                        alpha, s,
                         small_eigenvalues=member.small_eigenvalues,
                         c_M=0.0, n_subtractions=n_subtractions, tol=tol)
-
-    def dtr(t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return degenerating_trace(member, float(arr))
-        return np.asarray([degenerating_trace(member, float(x)) for x in arr])
-
+    dtr = as_array_fn(lambda t: degenerating_trace(member, t))
     dval, _ = _continued_mellin(dtr, complex(s), [], 0.0, 1.0, tol, 0.25)
     return complex(tz - dval)
 

@@ -77,14 +77,3 @@ def circle_theta(t):
     arr = np.asarray(t, dtype=float)
     return np.asarray([scalar(float(x)) for x in arr.ravel()]).reshape(arr.shape)
 
-
-def vectorize_scalar(fn):
-    """Lift a scalar function to the array protocol used by the engines."""
-
-    def call(t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return fn(float(arr))
-        return np.asarray([fn(float(x)) for x in arr.ravel()]).reshape(arr.shape)
-
-    return call

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from degenspec.degeneration import (CwKernel, SlopeFit, c_w_kernel,
-                                    elliptic_sum_s, error_term_experiment,
+from degenspec.degeneration import (CwKernel, SlopeFit, _kernel_integral,
+                                    c_w_kernel, elliptic_sum_s, error_term_experiment,
                                     fit_slope_vs_logQ, g_degenerating_counting,
                                     optimize_epsilon)
 from degenspec.errors import DomainError, FitError
@@ -75,6 +75,14 @@ class TestCwKernel:
             limit=200)
         assert c_w_kernel(CwKernel(T=T, w=w, beta=beta)) == pytest.approx(
             oracle / math.pi, abs=1e-10)
+
+    @pytest.mark.parametrize("T", [1.25, 2.0, 10.0, 50.0])
+    @pytest.mark.parametrize("w", [0.0, 0.5, 1.0, 2.0])
+    def test_closed_form_at_beta_zero(self, T, w):
+        # the closed form against the quadrature that beta > 0 uses
+        quadrature = _kernel_integral(0.0, w, T, 1e-12 * (T - 0.25) ** (w + 0.5))
+        assert c_w_kernel(CwKernel(T=T, w=w)) == pytest.approx(
+            quadrature / math.pi, rel=1e-13)
 
     def test_monotone_in_T(self):
         vals = [c_w_kernel(CwKernel(T=T, w=0.5, beta=0.2))
@@ -254,13 +262,17 @@ class TestErrorTermExperiment:
         assert all(row[1] == 0.0 and row[2] == 0.0 for row in rep.rows)
         assert rep.bounded
 
-    def test_exact_leading_term_zero_residual(self):
-        # when G is synthetically c_0(T) log(prod q), the residual vanishes
-        T = 1.25
-        c0 = c_w_kernel(CwKernel(T=T))
+    def test_residual_is_g_minus_exact_slope_term(self):
+        # at T = 5/4, R = 1 and the slope c_0 = R/pi is exactly 1/pi
         fam = hecke_family([10, 100, 1000])
-        for lq in fam.log_products():
-            assert c0 * lq - c0 * lq == 0.0
+        rep = error_term_experiment(fam, 1.25)
+        for k, row in enumerate(rep.rows):
+            lq, g, residual, normalizer, normalized = row
+            assert lq == fam.log_products()[k]
+            assert g == g_degenerating_counting(fam.member(k), 0.0, 1.25)
+            assert residual == pytest.approx(g - lq / math.pi, abs=1e-15)
+            assert normalizer == lq ** 0.75
+            assert normalized == residual / normalizer
 
     def test_normalized_residual_bounded(self):
         fam = hecke_family([100, 1000, 10000, 100000])

@@ -21,7 +21,8 @@ from degenspec.special_fn import integrate_semi_infinite
 from degenspec.traces import (TestFunctionPair, TraceSeries, _cone_series,
                               degenerating_trace,
                               elliptic_trace_r, elliptic_trace_u, fermi_weight,
-                              geometric_side, hyperbolic_trace, identity_trace,
+                              geometric_side, hyperbolic_sum_reduced,
+                              hyperbolic_trace, identity_trace,
                               noncompact_spectral_terms, spectral_side_compact,
                               standard_trace, transform_H, transform_Hhat,
                               truncated_trace)
@@ -79,6 +80,23 @@ class TestHyperbolicTrace:
         for t in (0.5, 2.0):
             assert hyperbolic_trace(spec, t) == pytest.approx(
                 brute_hyperbolic(spec, t), rel=1e-13)
+
+    def test_short_lengths_at_large_time(self):
+        # many kept terms, and a Gaussian that barely decays over them
+        spec = [(0.3, 1), (1.0, 2)]
+        for t in (10.0, 50.0):
+            assert hyperbolic_trace(spec, t) == pytest.approx(
+                brute_hyperbolic(spec, t), rel=1e-13)
+
+    def test_array_t_matches_scalar_calls(self):
+        spec = [(0.3, 1), (1.0, 2), (2.4, 3)]
+        ts = np.geomspace(1e-3, 50.0, 9)
+        batched = hyperbolic_sum_reduced(spec, ts)
+        assert batched.shape == ts.shape
+        assert batched == pytest.approx(
+            [hyperbolic_sum_reduced(spec, t) for t in ts], rel=1e-15)
+        with pytest.raises(DomainError):
+            hyperbolic_sum_reduced(spec, np.array([1.0, 0.0]))
 
     def test_small_time_gaussian_suppression(self):
         # HTr(t) e^{c/t} bounded for c = l_min^2/8 < l_min^2/4

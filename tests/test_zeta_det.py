@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from scipy.special import zeta as riemann_zeta
 
-from conftest import circle_theta, finite_model_trace, vectorize_scalar
+from conftest import circle_theta, finite_model_trace
 from degenspec.errors import (AlphaCollisionError, DivergenceError,
                               DomainError, ExpansionMismatchError, FitError,
                               InsufficientSubtractionsError, PoleError,
                               StripViolationError)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
+from degenspec.special_fn import as_array_fn
 from degenspec.traces import standard_trace
 from degenspec.zeta_det import (HeatCoefficients, ZetaEvaluation,
                                 degeneration_subtraction_zeta, det_laplacian,
@@ -32,7 +33,7 @@ CIRCLE_COEFFS = [(-0.5, SQRT_PI)]
 
 def surface_trace(surface, tol=1e-12):
     from degenspec.traces import surface_trace_provider
-    return vectorize_scalar(surface_trace_provider(surface, tol))
+    return as_array_fn(surface_trace_provider(surface, tol))
 
 
 class TestSeries:
@@ -150,7 +151,7 @@ class TestHeatCoefficients:
                                          abs=1e-6)
 
     def test_synthetic_exact_recovery(self):
-        trace = vectorize_scalar(lambda t: 2.5 / t + 0.75)
+        trace = as_array_fn(lambda t: 2.5 / t + 0.75)
         fit = heat_coefficients(trace, 0)
         assert fit.b[0] == pytest.approx(2.5, abs=1e-10)
         assert fit.b[1] == pytest.approx(0.75, abs=1e-8)
@@ -158,7 +159,7 @@ class TestHeatCoefficients:
     def test_elliptic_only_surface(self):
         s = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 3, 7))
         from degenspec.traces import elliptic_trace_u
-        trace = vectorize_scalar(lambda t: elliptic_trace_u((2, 3, 7), t))
+        trace = as_array_fn(lambda t: elliptic_trace_u((2, 3, 7), t))
         fit = heat_coefficients(trace, 1)
         assert abs(fit.b[0]) <= 1e-8  # no 1/t term
         # b_0 = ETr(0+) = sum (q^2-1)/(12 q) over cones
@@ -168,7 +169,7 @@ class TestHeatCoefficients:
     def test_residual_above_floor_raises(self):
         # an oscillation no polynomial of moderate degree follows keeps the
         # residual above the rounding floor up to the conditioning limit
-        trace = vectorize_scalar(lambda t: 1.0 / t + 1e-6 * math.cos(3e3 * t))
+        trace = as_array_fn(lambda t: 1.0 / t + 1e-6 * math.cos(3e3 * t))
         with pytest.raises(FitError) as info:
             heat_coefficients(trace, 1)
         assert info.value.residual > 0.0
@@ -299,7 +300,7 @@ class TestDeterminant:
     def test_regularized_integral_matches_literal(self):
         # for a trace vanishing at both ends the regularization equals the
         # literal integral: f = e^{-t} - e^{-2t}, int f dt/t = log 2
-        trace = vectorize_scalar(lambda t: math.exp(-t) - math.exp(-2 * t))
+        trace = as_array_fn(lambda t: math.exp(-t) - math.exp(-2 * t))
         val = mellin_regularized_integral(trace, c_M=0.0,
                                           coefficients=[(0.0, 0.0)],
                                           tail_decay=1.0)
@@ -308,7 +309,7 @@ class TestDeterminant:
 
 class TestFitExpansion:
     def test_known_coefficient_passthrough(self):
-        trace = vectorize_scalar(lambda t: 3.0 / t + 1.0 + 2.0 * t)
+        trace = as_array_fn(lambda t: 3.0 / t + 1.0 + 2.0 * t)
         terms = fit_trace_expansion(trace, (0.0, 1.0), known=((-1.0, 3.0),))
         d = dict(terms)
         assert d[-1.0] == 3.0
@@ -316,7 +317,7 @@ class TestFitExpansion:
         assert d[1.0] == pytest.approx(2.0, abs=1e-6)
 
     def test_empty_powers(self):
-        terms = fit_trace_expansion(vectorize_scalar(lambda t: 1.0 / t), (),
+        terms = fit_trace_expansion(as_array_fn(lambda t: 1.0 / t), (),
                                     known=((-1.0, 1.0),))
         assert terms == [(-1.0, 1.0)]
 

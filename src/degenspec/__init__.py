@@ -11,7 +11,6 @@ Submodules:
 - counting: weighted spectral counting functions
 - zeta_det: spectral/Hurwitz zeta, heat coefficients, regularized determinant
 - selberg: Selberg zeta product and log-derivative representations
-- kernels: resolvent, Poisson, and wave kernels on mode-set data
 - cli: the `degenspec` command-line workbench
 """
 
@@ -21,7 +20,6 @@ from . import (  # noqa: F401
     errors,
     geometry,
     hplane,
-    kernels,
     selberg,
     special_fn,
     traces,

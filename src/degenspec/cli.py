@@ -19,17 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import degeneration, kernels, selberg, traces, zeta_det
+from . import degeneration, selberg, traces, zeta_det
 from .errors import (DegenspecError, DomainError, InvariantViolation,
                      ParseError, QuadratureError)
 from .geometry import (hecke_family, load_family, load_surface,
                        surface_to_dict)
-from .special_fn import as_array_fn
 
 __all__ = ["RunConfig", "run", "emit_csv", "emit_svg", "parse_grid", "main"]
 
 COMMANDS = ("surface", "trace", "degenerate", "count", "zeta", "selberg",
-            "det", "kernels", "hecke-sweep")
+            "det", "hecke-sweep")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,7 +50,6 @@ class RunConfig:
     alpha: float | None = None
     im_s: float = 0.0
     N_values: list = field(default_factory=list)
-    kind: str = "resolvent"
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -199,20 +197,6 @@ def _comments(config: RunConfig) -> list:
     ]
 
 
-def _load_modes(path) -> kernels.ModeSet:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: "
-                         f"{exc.msg}") from exc
-    if not isinstance(data, dict) or "modes" not in data:
-        raise ParseError("mode file must be an object with a 'modes' array")
-    return kernels.ModeSet(modes=tuple((m[0], m[1]) for m in data["modes"]))
-
-
 def _run_surface(config: RunConfig) -> Table:
     surface = load_surface(config.input_path)
     info = surface_to_dict(surface)
@@ -288,30 +272,16 @@ def _run_count(config: RunConfig) -> Table:
     return Table(columns=["T", "w", "N"], rows=rows, comments=_comments(config))
 
 
-def _surface_expansion(surface, trace, n: int = 3):
-    """Small-time expansion of a surface's geometric trace: the exact 1/t
-    coefficient vol/4pi plus fitted regular powers."""
-    return zeta_det.fit_trace_expansion(
-        trace, range(0, n + 1),
-        known=((-1.0, surface.volume / (4.0 * math.pi)),))
-
-
 def _run_zeta(config: RunConfig) -> Table:
     surface = load_surface(config.input_path)
     if not config.s_grid:
         raise DomainError("zeta needs an s-grid (--s start:stop:count)")
-    trace = as_array_fn(traces.surface_trace_provider(
-        surface, max(config.tol, 1e-12)))
-    coeffs = _surface_expansion(surface, trace)
-    n_sub = 1
     rows = []
     for re_s in config.s_grid:
-        s = complex(re_s, config.im_s)
-        ev = zeta_det.spectral_zeta_mellin(trace, 0.0, s, n_sub,
-                                           coefficients=coeffs,
-                                           tol=max(config.tol * 1e-2, 1e-12))
-        rows.append([re_s, config.im_s, float(np.real(ev.value)),
-                     float(np.imag(ev.value)), ev.n_subtractions])
+        value = zeta_det.surface_zeta(surface, complex(re_s, config.im_s),
+                                      tol=max(config.tol * 1e-2, 1e-12))
+        # n_sub: the one small-time term (b_0) the elliptic part subtracts
+        rows.append([re_s, config.im_s, value.real, value.imag, 1])
     return Table(columns=["re_s", "im_s", "re_val", "im_val", "n_sub"],
                  rows=rows, comments=_comments(config))
 
@@ -335,39 +305,11 @@ def _run_selberg(config: RunConfig) -> Table:
 
 def _run_det(config: RunConfig) -> Table:
     surface = load_surface(config.input_path)
-    trace = as_array_fn(traces.surface_trace_provider(surface, 1e-12))
-    coeffs = _surface_expansion(surface, trace)
-    det_tol = max(config.tol * 0.1, 1e-11)
-    if config.alpha is not None:
-        value = zeta_det.log_det_truncated(
-            trace, surface.small_eigenvalues, config.alpha, c_M=0.0,
-            coefficients=coeffs, tol=det_tol)
-        rows = [[config.alpha, value, math.exp(value)]]
-    else:
-        det = zeta_det.det_laplacian(trace, c_M=0.0, coefficients=coeffs,
-                                     n_subtractions=1, tol=det_tol)
-        rows = [[0.0, math.log(det), det]]
+    value = zeta_det.surface_log_det(surface, config.alpha,
+                                     tol=max(config.tol * 0.1, 1e-11))
+    rows = [[config.alpha or 0.0, value, math.exp(value)]]
     return Table(columns=["alpha", "log_det", "det"], rows=rows,
                  comments=_comments(config))
-
-
-def _run_kernels(config: RunConfig) -> Table:
-    modes = _load_modes(config.input_path)
-    if not config.t_grid:
-        raise DomainError("kernels needs a w-grid (--w-grid start:stop:count)")
-    rows = []
-    for w in config.t_grid:
-        if config.kind == "resolvent":
-            val = kernels.resolvent(modes, w, alpha=config.alpha)
-        elif config.kind == "poisson":
-            val = kernels.poisson(modes, w)
-        elif config.kind == "wave":
-            val = kernels.wave(modes, w)
-        else:
-            raise DomainError(f"unknown kernel kind '{config.kind}'")
-        rows.append([w, float(np.real(val)), float(np.imag(val))])
-    return Table(columns=["w", "re", "im"], rows=rows,
-                 comments=_comments(config) + [f"kind: {config.kind}"])
 
 
 _RUNNERS = {
@@ -378,7 +320,6 @@ _RUNNERS = {
     "zeta": _run_zeta,
     "selberg": _run_selberg,
     "det": _run_det,
-    "kernels": _run_kernels,
     "hecke-sweep": _run_hecke_sweep,
 }
 
@@ -416,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, needs_input=True):
         if needs_input:
-            p.add_argument("--surface", "--family", "--modes", "--input",
+            p.add_argument("--surface", "--family", "--input",
                            dest="input_path", required=True,
                            help="input JSON file")
         p.add_argument("--output", dest="output_path", default=None)
@@ -443,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", dest="T_grid", required=True)
     p.add_argument("--w", type=float, default=0.0)
 
-    p = sub.add_parser("zeta", help="spectral zeta sweep via the Mellin route")
+    p = sub.add_parser("zeta", help="spectral zeta sweep of a surface, term by term")
     add_common(p)
     p.add_argument("--s", dest="s_grid", required=True)
     p.add_argument("--im", dest="im_s", type=float, default=0.0)
@@ -453,15 +394,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", dest="s_grid", required=True)
     p.add_argument("--im", dest="im_s", type=float, default=0.0)
 
-    p = sub.add_parser("det", help="regularized determinant of a surface trace")
+    p = sub.add_parser("det", help="log det of the surface Laplacian in "
+                       "closed form; --alpha removes eigenvalues in (0, alpha]")
     add_common(p)
-    p.add_argument("--alpha", type=float, default=None)
-
-    p = sub.add_parser("kernels", help="resolvent/Poisson/wave kernel sweep")
-    add_common(p)
-    p.add_argument("--w-grid", dest="t_grid", required=True)
-    p.add_argument("--kind", choices=("resolvent", "poisson", "wave"),
-                   default="resolvent")
     p.add_argument("--alpha", type=float, default=None)
 
     p = sub.add_parser("hecke-sweep",
@@ -493,8 +428,6 @@ def _config_from_args(args) -> RunConfig:
         kwargs["alpha"] = args.alpha
     if hasattr(args, "im_s"):
         kwargs["im_s"] = args.im_s
-    if hasattr(args, "kind"):
-        kwargs["kind"] = args.kind
     if hasattr(args, "N_values"):
         kwargs["N_values"] = [int(v) for v in args.N_values.split(",") if v]
     return RunConfig(**kwargs)

@@ -39,7 +39,6 @@ __all__ = [
     "fit_slope_vs_logQ",
     "optimize_epsilon",
     "error_term_experiment",
-    "family_sweep",
 ]
 
 _CHUNK = 1_000_000
@@ -155,17 +154,12 @@ def g_degenerating_counting(surface: SurfaceData, w: float, T: float,
     return cone_integral(surface.degenerating_orders, hhat, 0.5, tol)
 
 
-def family_sweep(family: DegeneratingFamily, quantity: Callable) -> list:
-    """Evaluate quantity(member) across the schedule, in schedule order."""
-    return [quantity(m) for m in family.members()]
-
-
 def fit_slope_vs_logQ(family: DegeneratingFamily, quantity: Callable,
                       drop_smallest: bool = False) -> SlopeFit:
     """Unweighted least-squares fit of quantity(member) against
     log(prod q_gamma) over the schedule."""
     xs = family.log_products()
-    ys = family_sweep(family, quantity)
+    ys = [quantity(m) for m in family.members()]
     if drop_smallest:
         xs, ys = xs[1:], ys[1:]
     if len(xs) < 3:
@@ -215,8 +209,8 @@ def error_term_experiment(family: DegeneratingFamily, T: float,
                      for lq in family.log_products())
         return ErrorTermReport(rows=rows, bounded=True)
     c0 = c_w_kernel(CwKernel(T=T, w=0.0, beta=0.0), tol=1e-12)
-    values = family_sweep(
-        family, lambda m: g_degenerating_counting(m, 0.0, T, tol))
+    values = [g_degenerating_counting(m, 0.0, T, tol)
+              for m in family.members()]
     rows = []
     for lq, g in zip(family.log_products(), values):
         residual = g - c0 * lq

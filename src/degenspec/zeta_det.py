@@ -8,7 +8,10 @@ expansion sum b_alpha t^alpha is subtracted term by term, each term adding
 back the explicit rational piece b_alpha/(Gamma(s)(s+alpha)).  The same core
 handles the Laplace-Mellin (Hurwitz) transform through an incomplete-gamma
 factor, and the regularized determinant is exp(-zeta'(0)) with the
-derivative taken by Richardson-refined central differences.
+derivative taken by Richardson-refined central differences.  That route
+serves opaque traces and finite spectra.  A surface goes term by term
+instead (surface_zeta, surface_log_det): HTr, ETr and the identity term each
+have an exact transform, so nothing there is fitted or differenced in s.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,12 +27,13 @@ from .errors import (AlphaCollisionError, ConvergenceError, DivergenceError,
                      DomainError, ExpansionMismatchError, FitError,
                      InsufficientSubtractionsError, PoleError,
                      StripViolationError)
-from .geometry import DegeneratingFamily
+from .geometry import DegeneratingFamily, SurfaceData
+# unused here: bench/tracing.py wraps heat_kernel_h at this binding
 from .hplane import heat_kernel_h
 from .special_fn import (as_array_fn, integrate_finite,
                          integrate_semi_infinite, reciprocal_gamma)
-from .traces import (degenerating_trace, elliptic_trace_u, hyperbolic_trace,
-                     standard_trace)
+from .traces import (_cone_series, degenerating_trace, elliptic_trace_u,
+                     geodesic_sum, hyperbolic_trace, standard_trace)
 
 __all__ = [
     "HeatCoefficients",
@@ -42,6 +46,8 @@ __all__ = [
     "det_laplacian",
     "mellin_regularized_integral",
     "log_det_truncated",
+    "surface_zeta",
+    "surface_log_det",
     "degeneration_subtraction_zeta",
 ]
 
@@ -53,6 +59,8 @@ _FIT_FLOOR = 64.0 * np.finfo(float).eps
 # the rounding and fitting noise of the check
 _CHECK_TIMES = (1e-3, 2.5e-4, 6.25e-5)
 _CHECK_NOISE = 1e-10
+# zeta_R'(-1) of the Riemann zeta function, in the identity term's zeta'(0)
+_ZETA_PRIME_MINUS_ONE = -0.16542114370045092921
 
 
 @dataclass(frozen=True)
@@ -645,45 +653,86 @@ def log_det_truncated(trace: Callable, small_eigenvalues, alpha: float, *,
         n_subtractions=n_subtractions, h=h, tol=tol, tail_decay=tail_eff)
 
 
-def _difference_trace_parts(family: DegeneratingFamily, alpha: float) -> tuple:
-    """Volume-independent decomposition of Str^(alpha) - DTr across a family.
+def _identity_zeta(vol: float, s, z, tol: float) -> complex:
+    """Identity term at (s, z): (vol/4) G(s)/(s - 1), G(s) = int_0^inf
+    (r^2 + 1/4 + z)^{1-s} sech^2(pi r) dr to tol min(1, |s-1|)/max(1, vol/4)."""
+    s = complex(s)
+    if abs(s - 1.0) < _POLE_EPS:
+        raise PoleError(f"simple pole at s = 1 with residue {vol / (4.0 * math.pi)}")
+    g = integrate_semi_infinite(
+        lambda r: np.exp((1.0 - s) * np.log(r * r + 0.25 + z)) / np.cosh(math.pi * r) ** 2,
+        decay=2.0 * math.pi, tol=tol * min(1.0, abs(s - 1.0)) / max(1.0, 0.25 * vol))
+    return 0.25 * vol * complex(g.value) / (s - 1.0)
 
-    The degenerating elliptic part cancels exactly, so the member trace is
-    common(t) + vol_member * K(t, 0) - sum of e^{-lambda t} over the positive
-    truncated modes, with common = HTr + ETr(kept cones) - (zero modes).
-    Returns (common, kernel0, c_M, modes), shared by every member; only the
-    Gauss-Bonnet volume varies down the schedule.
 
-    The positive modes stay out of `common`: their continued transform is
-    the closed form (lambda + z)^{-s}.  Left in, their slow e^{-lambda t}
-    tail would set the decay of the tail integral, whose size then grows
-    like Gamma(Re s)/lambda^{Re s} beyond any absolute tolerance.  Without
-    them `common` decays like e^{-t/4}, the tail decay the transforms use.
-    """
-    template = family.template
-    for lam in template.small_eigenvalues:
+def _cone_b0(orders) -> float:
+    """The t -> 0 limit sum (q^2 - 1)/12q of ETr, a quarter of F(0)."""
+    return sum((q * q - 1.0) / (12.0 * q) for q in orders)
+
+
+@lru_cache(maxsize=16384)
+def _geodesic_cone_rest(lengths: tuple, orders: tuple, tol: float, t: float) -> float:
+    """HTr + ETr - b_0 e^{-t/4}, memoized: transforms at nearby s share nodes."""
+    return (hyperbolic_trace(lengths, t) + elliptic_trace_u(orders, t, tol)
+            - _cone_b0(orders) * math.exp(-0.25 * t))
+
+
+def _geodesic_cone_zeta(lengths, orders, s, z, tol: float) -> complex:
+    """HTr + ETr at (s, z): b_0 (1/4 + z)^{-s} plus the Mellin integral of
+    HTr + ETr - b_0 e^{-t/4} over Gamma(s), O(t) at 0 and so valid for
+    Re(s) > -1; its rounding noise does not fall like t, hence Re(s) > 0."""
+    s, z = complex(s), complex(z)
+    rest = as_array_fn(lambda t: _geodesic_cone_rest(lengths, orders, tol, t))
+    res = integrate_semi_infinite(
+        lambda t: rest(t) * np.exp((s - 1.0) * np.log(t) - z * t),
+        decay=0.25 + z.real, tol=tol)
+    return complex(reciprocal_gamma(s) * res.value
+                   + _cone_b0(orders) * np.exp(-s * np.log(0.25 + z)))
+
+
+def _cone_zeta_prime_zero(orders, tol: float) -> float:
+    """zeta_E'(0) = (log 2/2) F(0) + (1/2) int_0^inf (F(u) - F(0)) e^{-u/2}
+    du/u, F = _cone_series(orders), the integral held to tol max(1, F(0))."""
+    series, f0 = _cone_series(orders), 4.0 * _cone_b0(orders)
+    res = integrate_semi_infinite(lambda u: (series(u) - f0) * np.exp(-0.5 * u) / u,
+                                  decay=0.5, tol=2.0 * tol * max(1.0, f0))
+    return 0.5 * math.log(2.0) * f0 + 0.5 * float(np.real(res.value))
+
+
+def _zeta_prime_zero(lengths, orders, vol: float, tol: float) -> float:
+    """zeta'(0) of HTr + ETr + vol I: the geodesic sum of e^{-x/2}/x, which
+    is -log Z(1), + zeta_E'(0) + the constant of det = Z'(1) e^{E(2g-2)}."""
+    return (float(geodesic_sum(lengths, lambda x: np.exp(-0.5 * x) / x))
+            + _cone_zeta_prime_zero(orders, tol) - vol / (2.0 * math.pi) * (
+                2.0 * _ZETA_PRIME_MINUS_ONE - 0.25 + 0.5 * math.log(2.0 * math.pi)))
+
+
+def _removed_positive_modes(surface: SurfaceData, alpha: float) -> list:
+    """The listed eigenvalues in (0, alpha], alpha in (0, 1/4) off all of them."""
+    if not 0.0 < alpha < 0.25:
+        raise DomainError(f"alpha must lie in (0, 1/4), got {alpha}")
+    for lam in surface.small_eigenvalues:
         if abs(lam - alpha) < 1e-12:
-            raise AlphaCollisionError(
-                f"alpha = {alpha} collides with eigenvalue {lam}")
-    subs = [lam for lam in template.small_eigenvalues if lam <= alpha]
-    zero_modes = sum(1 for lam in subs if lam == 0.0)
-    kept = template.kept_orders
-    lengths = template.length_spectrum
+            raise AlphaCollisionError(f"alpha = {alpha} collides with eigenvalue {lam}")
+    return [lam for lam in surface.small_eigenvalues if 0.0 < lam <= alpha]
 
-    @lru_cache(maxsize=16384)
-    def common_scalar(t: float) -> float:
-        val = hyperbolic_trace(lengths, t)
-        if kept:
-            val += elliptic_trace_u(kept, t)
-        return val - zero_modes
 
-    @lru_cache(maxsize=16384)
-    def kernel0_scalar(t: float) -> float:
-        return heat_kernel_h(t, 0.0)
+def surface_zeta(surface: SurfaceData, s, *, tol: float = 1e-12) -> complex:
+    """Continued Mellin transform at s of the geometric trace HTr + ETr + I
+    (tail constant 0), term by term, for Re(s) > 0; PoleError at s = 1."""
+    return (_identity_zeta(surface.volume, s, 0.0, tol)
+            + _geodesic_cone_zeta(surface.length_spectrum,
+                                  surface.elliptic_orders, s, 0.0, tol))
 
-    modes = [float(lam) for lam in subs if lam > 0]
-    return (as_array_fn(common_scalar), as_array_fn(kernel0_scalar),
-            -float(zero_modes), modes)
+
+def surface_log_det(surface: SurfaceData, alpha: float | None = None, *,
+                    tol: float = 1e-12) -> float:
+    """log det of the surface Laplacian, -(d/ds) at 0 of surface_zeta, in
+    closed form; zero modes add nothing.  alpha in (0, 1/4) also removes the
+    listed eigenvalues in (0, alpha]."""
+    removed = [] if alpha is None else _removed_positive_modes(surface, alpha)
+    return -_zeta_prime_zero(surface.length_spectrum, surface.elliptic_orders,
+                             surface.volume, tol) - sum(map(math.log, removed))
 
 
 def _direct_member_value(family, alpha, k, s, n_subtractions, tol):
@@ -715,9 +764,10 @@ def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
     "logdet" (minus the s-derivative at 0, i.e. the truncated log
     determinant plus the regularized degenerating integral).
 
-    route="difference" (the default) transforms the member-independent
-    traces once and takes the removed positive modes in closed form;
-    route="direct" (zeta mode only) transforms each member separately.
+    route="difference" (the default) transforms the member trace with the
+    degenerating cones cancelled, HTr + ETr(kept) + vol I_1 - (removed
+    positive modes), I_1 the volume-1 identity term, once and term by term;
+    route="direct" (zeta mode only) fits and transforms each member.
 
     Returns rows (prod q_gamma, value); convergence of the paper-style limit
     shows up as Cauchy-shrinking differences down the rows.
@@ -729,59 +779,30 @@ def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
     if mode == "hurwitz":
         if z is None or complex(z).real <= 0:
             raise StripViolationError("hurwitz mode needs Re(z) > 0")
-    qprods = []
-    for row in family.schedule:
-        qprod = 1.0
-        for q in row:
-            qprod *= q
-        qprods.append(qprod)
+    qprods = [float(math.prod(row)) for row in family.schedule]
+    volumes = [member.volume for member in family.members()]
 
     if route == "direct":
         if mode != "zeta":
             raise DomainError("direct route implemented for mode='zeta'")
-        return [(qprods[k],
-                 _direct_member_value(family, alpha, k, s, n_subtractions, tol))
-                for k in range(len(family))]
+        return [(q, _direct_member_value(family, alpha, k, s, n_subtractions,
+                                         tol)) for k, q in enumerate(qprods)]
 
-    # The transform is linear in the trace and the member trace is
-    # common + vol * K(.,0), so two continued transforms cover the whole
-    # schedule; the values are identical to the member-by-member route.
-    common, kernel0, c_M, modes = _difference_trace_parts(family, alpha)
-    # common has no 1/t part (no identity term); the plane kernel's 1/t
-    # coefficient is exactly 1/(4 pi)
-    n_fit = max(n_subtractions, 3)
-    common_terms = fit_trace_expansion(common, range(0, n_fit + 1))
-    kernel_terms = fit_trace_expansion(
-        kernel0, range(0, n_fit + 1),
-        known=((-1.0, 1.0 / (4.0 * math.pi)),))
-    zz = 0.0 if mode == "zeta" else (complex(z) if mode == "hurwitz" else 0.0)
-
-    def eval_parts(sv: complex) -> tuple:
-        a, _ = _continued_mellin(common, sv, common_terms, c_M, 1.0, tol,
-                                 0.25, z=zz)
-        b, _ = _continued_mellin(kernel0, sv, kernel_terms, 0.0, 1.0, tol,
-                                 0.25, z=zz)
-        return a, b
-
-    if mode in ("zeta", "hurwitz"):
-        sv = complex(s)
-        a, b = eval_parts(sv)
-        # the removed modes -e^{-lambda t} continue to -(lambda + z)^{-s}
-        a -= sum(np.exp(-sv * np.log(lam + zz)) for lam in modes)
-        return [(qprods[k], complex(a + family.member(k).volume * b))
-                for k in range(len(family))]
-
-    h = 1e-4
-    samples = {sv: eval_parts(complex(sv))
-               for sv in (h, -h, h / 2.0, -h / 2.0)}
-
-    def deriv(pick) -> float:
-        d1 = (pick(samples[h]) - pick(samples[-h])) / (2.0 * h)
-        d2 = (pick(samples[h / 2.0]) - pick(samples[-h / 2.0])) / h
-        return float(np.real((4.0 * d2 - d1) / 3.0))
-
-    # d/ds of the removed modes' -lambda^{-s} at s = 0 is log(lambda)
-    da = deriv(lambda ab: ab[0]) + sum(math.log(lam) for lam in modes)
-    db = deriv(lambda ab: ab[1])
-    return [(qprods[k], -(da + family.member(k).volume * db))
-            for k in range(len(family))]
+    template = family.template
+    modes = _removed_positive_modes(template, alpha)
+    lengths, kept = template.length_spectrum, template.kept_orders
+    if mode == "logdet":
+        # d/ds of the removed modes' -lambda^{-s} at s = 0 is log(lambda)
+        common = (_zeta_prime_zero(lengths, kept, 0.0, tol)
+                  + sum(map(math.log, modes)))
+        unit = _zeta_prime_zero((), (), 1.0, tol)
+        return [(q, -(common + vol * unit)) for q, vol in zip(qprods, volumes)]
+    sv = complex(s)
+    zz = complex(z) if mode == "hurwitz" else 0.0
+    # the removed modes -e^{-lambda t} continue to -(lambda + z)^{-s}; inside
+    # the integral their slow tails would set its decay rate instead of 1/4
+    common = (_geodesic_cone_zeta(lengths, kept, sv, zz, tol)
+              - sum(np.exp(-sv * np.log(lam + zz)) for lam in modes))
+    unit = _identity_zeta(1.0, sv, zz, tol)
+    return [(q, complex(common + vol * unit))
+            for q, vol in zip(qprods, volumes)]

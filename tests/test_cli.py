@@ -1,17 +1,21 @@
 """The degenspec command line, end to end.
 
 Oracles: the large-q slope of the counting sum, c_0(T) = sqrt(T - 1/4)/pi;
-direct library calls for the trace and selberg tables.
+direct library calls for the trace and selberg tables; the mpmath
+r-integrals and Selberg product of conftest for the zeta and det tables.
 """
 
+import json
 import math
 
 import pytest
 
+from conftest import mp_surface_log_det, mp_surface_zeta
 from degenspec import cli
-from degenspec.geometry import save_surface
+from degenspec.geometry import SurfaceData, save_surface
 from degenspec.selberg import selberg_logderiv_series
 from degenspec.traces import elliptic_trace_u, hyperbolic_trace, identity_trace
+from degenspec.zeta_det import surface_log_det, surface_zeta
 
 
 def test_hecke_sweep_slope(capsys):
@@ -71,3 +75,83 @@ def test_malformed_grid_is_a_config_error(capsys):
     argv = ["trace", "--surface", "unused.json", "--t", "1:2"]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "not start:stop:count" in capsys.readouterr().err
+
+
+@pytest.fixture(params=["compact_surface", "bare_surface"])
+def surface_file(request, tmp_path):
+    surface = request.getfixturevalue(request.param)
+    path = tmp_path / "surface.json"
+    save_surface(surface, path)
+    return surface, str(path)
+
+
+def test_det_matches_library_and_oracle(surface_file, capsys):
+    surface, path = surface_file
+    assert cli.main(["det", "--surface", path]) == cli.EXIT_OK
+    columns, rows = _table(capsys.readouterr().out)
+    assert columns == ["alpha", "log_det", "det"]
+    alpha, log_det, det = (float(v) for v in rows[0])
+    assert alpha == 0.0
+    assert log_det == surface_log_det(surface, tol=1e-11)
+    assert det == math.exp(log_det)
+    assert abs(log_det - mp_surface_log_det(surface)) <= 1e-12
+
+
+def test_zeta_matches_library_and_oracle(surface_file, capsys):
+    surface, path = surface_file
+    argv = ["zeta", "--surface", path, "--s", "0.25:2.25:2", "--im", "1.5"]
+    assert cli.main(argv) == cli.EXIT_OK
+    columns, rows = _table(capsys.readouterr().out)
+    assert columns == ["re_s", "im_s", "re_val", "im_val", "n_sub"]
+    assert len(rows) == 2
+    for row in rows:
+        re_s, im_s, re_val, im_val = (float(v) for v in row[:4])
+        assert row[4] == "1"
+        value = complex(re_val, im_val)
+        s = complex(re_s, im_s)
+        assert value == surface_zeta(surface, s, tol=1e-12)
+        assert abs(value - mp_surface_zeta(surface, s)) <= 1e-10
+
+
+def test_det_alpha_removes_the_small_eigenvalue(compact_surface, tmp_path,
+                                                capsys):
+    path = tmp_path / "surface.json"
+    save_surface(compact_surface, path)
+    assert cli.main(["det", "--surface", str(path)]) == cli.EXIT_OK
+    full = float(_table(capsys.readouterr().out)[1][0][1])
+    argv = ["det", "--surface", str(path), "--alpha", "0.1"]
+    assert cli.main(argv) == cli.EXIT_OK
+    alpha, log_det, _ = (float(v) for v in _table(capsys.readouterr().out)[1][0])
+    assert alpha == 0.1
+    assert log_det == pytest.approx(full - math.log(0.08), abs=1e-15)
+
+
+def test_large_cone_order_needs_no_fit(tmp_path, capsys):
+    # one q = 50 cone: a fixed small-t window cannot fit its b_0, so both
+    # commands exited 2 while they fitted it
+    surface = SurfaceData(genus=1, num_cusps=0, elliptic_orders=(50,),
+                          length_spectrum=((1.2, 2), (2.5, 3)),
+                          small_eigenvalues=(0.0,))
+    path = tmp_path / "surface.json"
+    save_surface(surface, path)
+    assert cli.main(["det", "--surface", str(path)]) == cli.EXIT_OK
+    log_det = float(_table(capsys.readouterr().out)[1][0][1])
+    assert abs(log_det - mp_surface_log_det(surface)) <= 1e-12
+    argv = ["zeta", "--surface", str(path), "--s", "2:3:2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = _table(capsys.readouterr().out)[1]
+    assert [float(row[0]) for row in rows] == [2.0, 3.0]
+    for row in rows:
+        assert float(row[2]) == surface_zeta(surface, float(row[0]),
+                                             tol=1e-12).real
+
+
+def test_volume_against_gauss_bonnet_is_an_invariant_violation(
+        compact_surface, tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    save_surface(compact_surface, path)
+    data = json.loads(path.read_text())
+    data["volume"] = 2.0 * data["volume"]
+    path.write_text(json.dumps(data))
+    assert cli.main(["det", "--surface", str(path)]) == cli.EXIT_INVARIANT
+    assert "invariant violation" in capsys.readouterr().err

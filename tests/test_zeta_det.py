@@ -2,30 +2,37 @@
 
 Oracles: Riemann zeta via scipy.special.zeta (the circle spectrum is
 2 zeta_R(2s) with zeta_R'(0) = -log(2 pi)/... giving det = 4 pi^2), finite
-Dirichlet sums, and cross-representation identities.
+Dirichlet sums, cross-representation identities, and for the surface terms
+the mpmath r-integrals and Selberg product of conftest.
 """
 
 import math
+import time
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import zeta as riemann_zeta
 
-from conftest import circle_theta, finite_model_trace
+from conftest import (circle_theta, finite_model_trace, mp_identity_zeta,
+                      mp_identity_zeta_prime_zero, mp_log_selberg_one,
+                      mp_surface_zeta)
+from degenspec import zeta_det
 from degenspec.errors import (AlphaCollisionError, DivergenceError,
                               DomainError, ExpansionMismatchError, FitError,
                               InsufficientSubtractionsError, PoleError,
                               StripViolationError)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.special_fn import as_array_fn
-from degenspec.traces import standard_trace
+from degenspec.traces import elliptic_trace_u, standard_trace
 from degenspec.zeta_det import (HeatCoefficients, ZetaEvaluation,
                                 degeneration_subtraction_zeta, det_laplacian,
                                 fit_trace_expansion, heat_coefficients,
                                 hurwitz_zeta, log_det_truncated,
                                 mellin_regularized_integral,
                                 spectral_zeta_mellin, spectral_zeta_series,
-                                truncated_zeta)
+                                surface_log_det, surface_zeta, truncated_zeta)
 
 SQRT_PI = math.sqrt(math.pi)
 CIRCLE_COEFFS = [(-0.5, SQRT_PI)]
@@ -320,6 +327,83 @@ class TestFitExpansion:
         terms = fit_trace_expansion(as_array_fn(lambda t: 1.0 / t), (),
                                     known=((-1.0, 1.0),))
         assert terms == [(-1.0, 1.0)]
+
+
+class TestSurfaceTermByTerm:
+    """The closed forms behind surface_zeta and surface_log_det."""
+
+    @pytest.mark.parametrize("s", [0.3 + 1.8j, 2.0, 0.5 + 19j, -0.7 + 0.2j,
+                                   3.0 - 5j])
+    def test_identity_zeta(self, bare_surface, s):
+        # genus 2 with no geodesics or cones: the identity term alone
+        assert bare_surface.volume == pytest.approx(4.0 * math.pi, rel=1e-15)
+        value = surface_zeta(bare_surface, s, tol=1e-13)
+        assert abs(value - mp_identity_zeta(bare_surface.volume, s)) <= 1e-13
+
+    def test_identity_pole(self, bare_surface):
+        with pytest.raises(PoleError):
+            surface_zeta(bare_surface, 1.0)
+
+    def test_identity_zeta_prime_zero(self, bare_surface):
+        assert zeta_det._ZETA_PRIME_MINUS_ONE == pytest.approx(
+            float(mp.zeta(-1, derivative=1)), abs=1e-17)
+        oracle = mp_identity_zeta_prime_zero(4.0 * math.pi)
+        assert oracle == pytest.approx(-0.67619249160754176, abs=1e-15)
+        assert abs(surface_log_det(bare_surface) + oracle) <= 1e-13
+
+    @pytest.mark.parametrize("spectrum", [((1.0, 1), (1.5, 2)), ((1.0, 1),)])
+    def test_geodesic_zeta_prime_zero_is_minus_log_z_one(self, spectrum):
+        value = zeta_det._zeta_prime_zero(spectrum, (), 0.0, 1e-12)
+        assert abs(value + mp_log_selberg_one(spectrum)) <= 1e-13
+
+    @pytest.mark.parametrize("orders", [(2, 3), (7,), (2, 3, 7)])
+    def test_cone_zeta_prime_zero_matches_t_route(self, orders):
+        trace = as_array_fn(lru_cache(maxsize=None)(
+            lambda t: elliptic_trace_u(orders, t, 1e-12)))
+        b0 = sum((q * q - 1.0) / (12.0 * q) for q in orders)
+        t_route = mellin_regularized_integral(
+            trace, c_M=0.0, coefficients=[(0.0, b0)], n_subtractions=1,
+            tol=1e-11)
+        value = zeta_det._cone_zeta_prime_zero(orders, 1e-12)
+        assert abs(value - t_route) <= 1e-10
+
+    def test_cone_zeta_prime_zero_at_large_order(self):
+        q = 10 ** 6
+        zeta_det._cone_zeta_prime_zero((q,), 1e-12)  # warm the term arrays
+        start = time.perf_counter()
+        value = zeta_det._cone_zeta_prime_zero((q,), 1e-12)
+        elapsed = time.perf_counter() - start
+        assert math.isfinite(value)
+        assert elapsed < 0.05
+        # the scale of the divergence, (q/6) log q - 2q log A + (1/2) log q
+        # with A the Glaisher-Kinkelin constant, to O(log q/q)
+        law = (q / 6.0 * math.log(q) - 2.0 * q * float(mp.log(mp.glaisher))
+               + 0.5 * math.log(q))
+        assert abs(-value - law) <= 1e-4
+
+    @pytest.mark.parametrize("s", [0.15 + 0.5j, 1.7 - 2.5j, 2.9 + 4j])
+    def test_surface_zeta_against_r_integrals(self, compact_surface, s):
+        value = surface_zeta(compact_surface, s, tol=1e-12)
+        assert abs(value - mp_surface_zeta(compact_surface, s)) <= 1e-10
+
+    def test_surface_log_det_alpha(self, compact_surface):
+        full = surface_log_det(compact_surface)
+        assert surface_log_det(compact_surface, 0.1) == pytest.approx(
+            full - math.log(0.08), abs=1e-15)
+        with pytest.raises(AlphaCollisionError):
+            surface_log_det(compact_surface, 0.08)
+        with pytest.raises(DomainError):
+            surface_log_det(compact_surface, 0.3)
+
+    def test_logdet_rows_are_member_log_dets(self, hecke_like_family):
+        rows = degeneration_subtraction_zeta(hecke_like_family, 0.1, 0.0,
+                                             mode="logdet", tol=1e-12)
+        for (_, value), member in zip(rows, hecke_like_family.members()):
+            orders = member.degenerating_orders
+            f0 = sum((q * q - 1.0) / (3.0 * q) for q in orders)
+            expected = (surface_log_det(member, 0.1, tol=1e-12)
+                        + zeta_det._cone_zeta_prime_zero(orders, 1e-12))
+            assert abs(value - expected) <= 1e-12 * max(1.0, f0)
 
 
 class TestDegenerationExperiments:

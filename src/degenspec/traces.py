@@ -342,9 +342,13 @@ def standard_trace(surface: SurfaceData, t: float, tol: float = 1e-12) -> float:
             + surface.volume * heat_kernel_h(t, 0.0, tol))
 
 
-def _check_alpha(surface: SurfaceData, alpha: float) -> None:
-    if not 0.0 <= alpha < 0.25:
-        raise DomainError(f"alpha must lie in [0, 1/4), got {alpha}")
+def _check_alpha(surface: SurfaceData, alpha: float, *,
+                 closed_below: bool = True) -> None:
+    """alpha in [0, 1/4), or in (0, 1/4) when not closed_below, and off every
+    listed eigenvalue."""
+    if not (0.0 < alpha < 0.25 or (closed_below and alpha == 0.0)):
+        bracket = "[" if closed_below else "("
+        raise DomainError(f"alpha must lie in {bracket}0, 1/4), got {alpha}")
     for lam in surface.small_eigenvalues:
         if abs(lam - alpha) < 1e-12:
             raise AlphaCollisionError(

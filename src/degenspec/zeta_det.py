@@ -32,8 +32,9 @@ from .geometry import DegeneratingFamily, SurfaceData
 from .hplane import heat_kernel_h
 from .special_fn import (as_array_fn, integrate_finite,
                          integrate_semi_infinite, reciprocal_gamma)
-from .traces import (_cone_series, degenerating_trace, elliptic_trace_u,
-                     geodesic_sum, hyperbolic_trace, standard_trace)
+from .traces import (_check_alpha, _cone_series, degenerating_trace,
+                     elliptic_trace_u, geodesic_sum, hyperbolic_trace,
+                     standard_trace)
 
 __all__ = [
     "HeatCoefficients",
@@ -672,7 +673,8 @@ def _cone_b0(orders) -> float:
 
 @lru_cache(maxsize=16384)
 def _geodesic_cone_rest(lengths: tuple, orders: tuple, tol: float, t: float) -> float:
-    """HTr + ETr - b_0 e^{-t/4}, memoized: transforms at nearby s share nodes."""
+    """HTr + ETr - b_0 e^{-t/4}, memoized: the points of an s-grid share most
+    nodes (3/4 of the calls on a 7-point CLI zeta grid)."""
     return (hyperbolic_trace(lengths, t) + elliptic_trace_u(orders, t, tol)
             - _cone_b0(orders) * math.exp(-0.25 * t))
 
@@ -680,14 +682,24 @@ def _geodesic_cone_rest(lengths: tuple, orders: tuple, tol: float, t: float) -> 
 def _geodesic_cone_zeta(lengths, orders, s, z, tol: float) -> complex:
     """HTr + ETr at (s, z): b_0 (1/4 + z)^{-s} plus the Mellin integral of
     HTr + ETr - b_0 e^{-t/4} over Gamma(s), O(t) at 0 and so valid for
-    Re(s) > -1; its rounding noise does not fall like t, hence Re(s) > 0."""
+    Re(s) > -1.  Its rounding noise, ~eps b_0, does not fall like t, so
+    with cones it needs Re(s) > 0, and every integral is held to
+    tol max(1, b_0).  The integral runs in w = sqrt(t): a cone of order q
+    leaves b_0 with slope ~q^3/360, and the endpoint term ~q^3 t^s that
+    bisection cannot resolve for Re(s) < 1/2 and q >= 1e5 becomes a
+    smoother w^{2s+1}."""
     s, z = complex(s), complex(z)
+    b0 = _cone_b0(orders)
+    if orders and s.real <= 0.0:
+        raise DomainError(f"cone terms need Re(s) > 0, got s = {s}")
+    tol = tol * max(1.0, b0)
     rest = as_array_fn(lambda t: _geodesic_cone_rest(lengths, orders, tol, t))
     res = integrate_semi_infinite(
-        lambda t: rest(t) * np.exp((s - 1.0) * np.log(t) - z * t),
-        decay=0.25 + z.real, tol=tol)
+        lambda w: 2.0 * rest(w * w) * np.exp((2.0 * s - 1.0) * np.log(w)
+                                             - z * w * w),
+        decay=0.5, tol=tol)
     return complex(reciprocal_gamma(s) * res.value
-                   + _cone_b0(orders) * np.exp(-s * np.log(0.25 + z)))
+                   + b0 * np.exp(-s * np.log(0.25 + z)))
 
 
 def _cone_zeta_prime_zero(orders, tol: float) -> float:
@@ -709,11 +721,7 @@ def _zeta_prime_zero(lengths, orders, vol: float, tol: float) -> float:
 
 def _removed_positive_modes(surface: SurfaceData, alpha: float) -> list:
     """The listed eigenvalues in (0, alpha], alpha in (0, 1/4) off all of them."""
-    if not 0.0 < alpha < 0.25:
-        raise DomainError(f"alpha must lie in (0, 1/4), got {alpha}")
-    for lam in surface.small_eigenvalues:
-        if abs(lam - alpha) < 1e-12:
-            raise AlphaCollisionError(f"alpha = {alpha} collides with eigenvalue {lam}")
+    _check_alpha(surface, alpha, closed_below=False)
     return [lam for lam in surface.small_eigenvalues if 0.0 < lam <= alpha]
 
 
@@ -767,13 +775,14 @@ def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
     route="difference" (the default) transforms the member trace with the
     degenerating cones cancelled, HTr + ETr(kept) + vol I_1 - (removed
     positive modes), I_1 the volume-1 identity term, once and term by term;
-    route="direct" (zeta mode only) fits and transforms each member.
+    route="direct" (zeta mode only) fits and transforms each member, with
+    n_subtractions fitted small-time terms; the difference route ignores
+    n_subtractions.
 
     Returns rows (prod q_gamma, value); convergence of the paper-style limit
     shows up as Cauchy-shrinking differences down the rows.
     """
-    if not 0.0 < alpha < 0.25:
-        raise DomainError(f"alpha must lie in (0, 1/4), got {alpha}")
+    modes = _removed_positive_modes(family.template, alpha)
     if mode not in ("zeta", "hurwitz", "logdet"):
         raise DomainError(f"unknown mode '{mode}'")
     if mode == "hurwitz":
@@ -789,7 +798,6 @@ def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
                                          tol)) for k, q in enumerate(qprods)]
 
     template = family.template
-    modes = _removed_positive_modes(template, alpha)
     lengths, kept = template.length_spectrum, template.kept_orders
     if mode == "logdet":
         # d/ds of the removed modes' -lambda^{-s} at s = 0 is log(lambda)

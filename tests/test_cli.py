@@ -146,6 +146,15 @@ def test_large_cone_order_needs_no_fit(tmp_path, capsys):
                                              tol=1e-12).real
 
 
+def test_zeta_left_of_zero_with_cones_is_a_domain_error(compact_surface,
+                                                       tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    save_surface(compact_surface, path)
+    argv = ["zeta", "--surface", str(path), "--s=-1:2:7", "--im", "0.3"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "Re(s) > 0" in capsys.readouterr().err
+
+
 def test_volume_against_gauss_bonnet_is_an_invariant_violation(
         compact_surface, tmp_path, capsys):
     path = tmp_path / "surface.json"

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from scipy.special import zeta as riemann_zeta
 
-from conftest import (circle_theta, finite_model_trace, mp_identity_zeta,
+from conftest import (circle_theta, finite_model_trace, mp_elliptic_zeta,
+                      mp_hyperbolic_zeta, mp_identity_zeta,
                       mp_identity_zeta_prime_zero, mp_log_selberg_one,
                       mp_surface_zeta)
 from degenspec import zeta_det
@@ -41,6 +42,27 @@ CIRCLE_COEFFS = [(-0.5, SQRT_PI)]
 def surface_trace(surface, tol=1e-12):
     from degenspec.traces import surface_trace_provider
     return as_array_fn(surface_trace_provider(surface, tol))
+
+
+def np_elliptic_zeta(q, s):
+    """Elliptic zeta of one cone of order q from its per-n r-integrals,
+    folded onto r > 0 and summed over n under the integral:
+    int_0^inf (1/4 + r^2)^{-s} sum_{n<q} e^{-2 pi n r/q}
+    / (q sin(n pi/q) (1 + e^{-2 pi r})) dr, by 40-node Gauss-Legendre on
+    panels doubling from r = 0.01 to 50q.  For orders too large for the
+    mpmath oracle, which integrates each n on its own."""
+    x, w = np.polynomial.legendre.leggauss(40)
+    n = np.arange(1, q)
+    weight = 1.0 / (q * np.sin(n * math.pi / q))
+    edges = [0.0] + [0.01 * 2.0 ** k for k in range(64) if 0.01 * 2.0 ** k <= 50 * q]
+    total = 0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        r = 0.5 * (b - a) * x + 0.5 * (b + a)
+        kernel = (np.exp(np.outer(r, -2.0 * math.pi * n / q)) @ weight
+                  / (1.0 + np.exp(-2.0 * math.pi * r)))
+        total += 0.5 * (b - a) * np.sum(w * np.exp(-s * np.log(0.25 + r * r))
+                                        * kernel)
+    return complex(total)
 
 
 class TestSeries:
@@ -386,6 +408,36 @@ class TestSurfaceTermByTerm:
         value = surface_zeta(compact_surface, s, tol=1e-12)
         assert abs(value - mp_surface_zeta(compact_surface, s)) <= 1e-10
 
+    @pytest.mark.parametrize("s", [0.278 + 1.826j, 2.0])
+    def test_surface_zeta_at_large_cone_order(self, s):
+        # b_0 = 8333 while the value is O(10): every integral is held to
+        # tol b_0, and the endpoint slope ~q^3 of the cone remainder must
+        # not collapse the quadrature left of 1/2
+        q = 10 ** 5
+        surface = SurfaceData(genus=1, num_cusps=0, elliptic_orders=(q,),
+                              length_spectrum=((1.2, 2), (2.5, 3)),
+                              small_eigenvalues=(0.0,))
+        b0 = (q * q - 1.0) / (12.0 * q)
+        oracle = (mp_identity_zeta(surface.volume, s) + np_elliptic_zeta(q, s)
+                  + mp_hyperbolic_zeta(surface.length_spectrum, s))
+        value = surface_zeta(surface, s, tol=1e-12)
+        assert abs(value - oracle) <= 1e-11 * b0
+
+    def test_np_elliptic_oracle_matches_mpmath(self):
+        s = 0.278 + 1.826j
+        assert abs(np_elliptic_zeta(12, s)
+                   - mp_elliptic_zeta((12,), s)) <= 1e-13
+
+    def test_surface_zeta_with_cones_needs_positive_real_part(
+            self, compact_surface, bare_surface):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            surface_zeta(compact_surface, -0.5 + 0.3j)
+        assert time.perf_counter() - start < 0.1
+        # without cones the identity term alone continues to every s != 1
+        assert abs(surface_zeta(bare_surface, -0.5 + 0.3j, tol=1e-13)
+                   - mp_identity_zeta(bare_surface.volume, -0.5 + 0.3j)) <= 1e-13
+
     def test_surface_log_det_alpha(self, compact_surface):
         full = surface_log_det(compact_surface)
         assert surface_log_det(compact_surface, 0.1) == pytest.approx(
@@ -394,6 +446,8 @@ class TestSurfaceTermByTerm:
             surface_log_det(compact_surface, 0.08)
         with pytest.raises(DomainError):
             surface_log_det(compact_surface, 0.3)
+        with pytest.raises(DomainError):
+            surface_log_det(compact_surface, 0.0)
 
     def test_logdet_rows_are_member_log_dets(self, hecke_like_family):
         rows = degeneration_subtraction_zeta(hecke_like_family, 0.1, 0.0,
@@ -464,3 +518,7 @@ class TestDegenerationExperiments:
             degeneration_subtraction_zeta(hecke_like_family, 0.05, 2.0)
         with pytest.raises(DomainError):
             degeneration_subtraction_zeta(hecke_like_family, 0.3, 2.0)
+        for route in ("difference", "direct"):
+            with pytest.raises(DomainError):
+                degeneration_subtraction_zeta(hecke_like_family, 0.0, 2.0,
+                                              route=route)

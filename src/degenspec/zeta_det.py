@@ -673,33 +673,26 @@ def _cone_b0(orders) -> float:
 
 @lru_cache(maxsize=16384)
 def _geodesic_cone_rest(lengths: tuple, orders: tuple, tol: float, t: float) -> float:
-    """HTr + ETr - b_0 e^{-t/4}, memoized: the points of an s-grid share most
-    nodes (3/4 of the calls on a 7-point CLI zeta grid)."""
+    """HTr + ETr - b_0 e^{-t/4}, memoized for the nodes an s-grid shares."""
     return (hyperbolic_trace(lengths, t) + elliptic_trace_u(orders, t, tol)
             - _cone_b0(orders) * math.exp(-0.25 * t))
 
 
 def _geodesic_cone_zeta(lengths, orders, s, z, tol: float) -> complex:
     """HTr + ETr at (s, z): b_0 (1/4 + z)^{-s} plus the Mellin integral of
-    HTr + ETr - b_0 e^{-t/4} over Gamma(s), O(t) at 0 and so valid for
-    Re(s) > -1.  Its rounding noise, ~eps b_0, does not fall like t, so
-    with cones it needs Re(s) > 0, and every integral is held to
-    tol max(1, b_0).  The integral runs in w = sqrt(t): a cone of order q
-    leaves b_0 with slope ~q^3/360, and the endpoint term ~q^3 t^s that
-    bisection cannot resolve for Re(s) < 1/2 and q >= 1e5 becomes a
-    smoother w^{2s+1}."""
-    s, z = complex(s), complex(z)
-    b0 = _cone_b0(orders)
+    HTr + ETr - b_0 e^{-t/4} over Gamma(s), run in w = sqrt(t) (a cone of
+    order q leaves b_0 with slope ~q^3, so t^s at 0 is steep) and held to
+    tol max(1, b_0).  The bracket is O(t) but its rounding noise, ~eps b_0,
+    is not, so with cones Re(s) > 0."""
+    s, z, b0 = complex(s), complex(z), _cone_b0(orders)
     if orders and s.real <= 0.0:
         raise DomainError(f"cone terms need Re(s) > 0, got s = {s}")
-    tol = tol * max(1.0, b0)
+    tol *= max(1.0, b0)
     rest = as_array_fn(lambda t: _geodesic_cone_rest(lengths, orders, tol, t))
     res = integrate_semi_infinite(
-        lambda w: 2.0 * rest(w * w) * np.exp((2.0 * s - 1.0) * np.log(w)
-                                             - z * w * w),
+        lambda w: 2.0 * rest(w * w) * np.exp((2.0 * s - 1.0) * np.log(w) - z * w * w),
         decay=0.5, tol=tol)
-    return complex(reciprocal_gamma(s) * res.value
-                   + b0 * np.exp(-s * np.log(0.25 + z)))
+    return complex(reciprocal_gamma(s) * res.value + b0 * np.exp(-s * np.log(0.25 + z)))
 
 
 def _cone_zeta_prime_zero(orders, tol: float) -> float:
@@ -775,9 +768,8 @@ def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
     route="difference" (the default) transforms the member trace with the
     degenerating cones cancelled, HTr + ETr(kept) + vol I_1 - (removed
     positive modes), I_1 the volume-1 identity term, once and term by term;
-    route="direct" (zeta mode only) fits and transforms each member, with
-    n_subtractions fitted small-time terms; the difference route ignores
-    n_subtractions.
+    route="direct" (zeta mode only) fits n_subtractions small-time terms and
+    transforms each member; the difference route ignores n_subtractions.
 
     Returns rows (prod q_gamma, value); convergence of the paper-style limit
     shows up as Cauchy-shrinking differences down the rows.

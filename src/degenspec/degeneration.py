@@ -149,7 +149,12 @@ def g_degenerating_counting(surface: SurfaceData, w: float, T: float,
     scale = math.gamma(w + 1.0) / (2.0 * math.sqrt(math.pi))
 
     def hhat(u: np.ndarray) -> np.ndarray:
-        return scale * (2.0 * R / u) ** nu * jv(nu, R * u)
+        # (2R/u)^nu J_nu(Ru) = R^{2 nu} (2/z)^nu J_nu(z), z = Ru; below
+        # z = 1e-8 the last factor is its limit 1/Gamma(nu+1) to 1.7e-17
+        # relative, and clamping z keeps (2/z)^nu finite at the tiny u the
+        # exp-sinh rule samples
+        z = np.maximum(R * u, 1e-8)
+        return scale * R ** (2.0 * nu) * (2.0 / z) ** nu * jv(nu, z)
 
     return cone_integral(surface.degenerating_orders, hhat, 0.5, tol)
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PoleError
-from .special_fn import (KBesselArgs, as_array_fn, integrate_semi_infinite,
-                         k_bessel)
+from .special_fn import KBesselArgs, integrate_semi_infinite, k_bessel
 from .traces import _normalize_spectrum, geodesic_sum, hyperbolic_sum_reduced
 
 __all__ = [
@@ -117,19 +116,19 @@ def selberg_logderiv_integral(lengths, s, tol: float = 1e-12) -> LogDerivEvaluat
                               domain_certificate=cert)
 
 
-def selberg_logderiv_kbessel(lengths, s, tol: float = 1e-13) -> LogDerivEvaluation:
-    """Z'/Z(s) through quadratures of the K-Bessel integral
-    K_{1/2}(s - 1/2, n l/2); real s > 1 only (the K-Bessel arguments must be
-    positive)."""
+def selberg_logderiv_kbessel(lengths, s) -> LogDerivEvaluation:
+    """Z'/Z(s) through the K-Bessel integral K_{1/2}(s - 1/2, n l/2) in
+    closed form, one array call over the kept (geodesic, n) terms; real
+    s > 1 only (the K-Bessel arguments must be positive)."""
     s_c = complex(s)
     if abs(s_c.imag) > 0:
         raise DomainError("K-Bessel route requires real s")
     s = float(s_c.real)
     _require_half_plane(s_c)
-    bessel = as_array_fn(
-        lambda x: k_bessel(KBesselArgs(s=0.5, a=s - 0.5, b=x / 2.0), tol=tol))
     # l/(sqrt(16 pi) sinh(n l/2)) = (l/(2 sinh(n l/2)))/sqrt(4 pi)
-    total = geodesic_sum(lengths, bessel) / math.sqrt(4.0 * math.pi)
+    total = geodesic_sum(
+        lengths, lambda x: k_bessel(KBesselArgs(s=0.5, a=s - 0.5, b=x / 2.0))
+    ) / math.sqrt(4.0 * math.pi)
     return LogDerivEvaluation(s=s_c, value=complex((2.0 * s - 1.0) * total),
                               representation="kbessel",
                               domain_certificate="Re(s)>1")

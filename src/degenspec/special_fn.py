@@ -1,11 +1,18 @@
-"""Special functions and the adaptive quadrature engines used by every module.
+"""Special functions and the two quadrature engines used by every module.
 
-The quadrature core is a 7-15 Gauss-Kronrod rule driven by worst-interval
-adaptive bisection.  Semi-infinite integrals are mapped onto [0, 1] with
-t = L*u/(1-u), where the scale L is chosen from the caller's exponential
-decay hint.  The rule never samples interval endpoints, so integrable
-endpoint singularities (Mellin weights t^{s-1}, inverse-square-root factors)
-are handled by plain subdivision.
+integrate_exp_sinh is a double-exponential rule (Takahasi-Mori 1974) for
+integrands known to be analytic on (0, inf): the map u = L exp((pi/2) sinh
+tau), L = 1/decay, and the trapezoid rule in tau, with the step halved from
+1/2 until two successive levels agree.  Each level is one array call of the
+integrand on that level's new nodes.  It serves the cone, plane-kernel and
+identity integrals, whose integrands are analytic in a strip.
+
+Everything else goes to the adaptive engine: a 7-15 Gauss-Kronrod rule
+driven by worst-interval bisection.  Semi-infinite integrals are mapped onto
+[0, 1] with t = L*u/(1-u), where the scale L is chosen from the caller's
+exponential decay hint.  The rule never samples interval endpoints, so
+integrable endpoint singularities (Mellin weights t^{s-1}, inverse-square-root
+factors) are handled by plain subdivision.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_real_line",
+    "integrate_exp_sinh",
     "as_array_fn",
 ]
 
@@ -69,6 +77,14 @@ _WGAUSS = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
 
 _DEFAULT_TOL = 1e-10
 _DEFAULT_LIMIT = 4096
+_EPS = float(np.finfo(float).eps)
+
+# exp-sinh rule: the tau window keeps u = L e^{(pi/2) sinh tau} inside
+# [2.3e-51 L, 4.5e18 L], so neither u nor the weight under- or overflows, an
+# integrable u^{a-1} at 0 loses at most (2.3e-51)^a/a and e^{-decay u} is
+# e^{-4.5e18} at the top; the step halves from 1/2 down to 2^-_DE_LEVELS.
+_DE_TAU = (-5.0, 4.0)
+_DE_LEVELS = 12
 
 
 @dataclass(frozen=True)
@@ -93,10 +109,10 @@ class KBesselArgs:
 
     s: float
     a: float
-    b: float
+    b: float | np.ndarray
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
+        if not (self.a > 0 and np.all(np.asarray(self.b) > 0)):
             raise DomainError("K-Bessel integral requires a > 0 and b > 0")
 
 
@@ -121,6 +137,15 @@ def as_array_fn(f: Callable) -> Callable:
             return np.asarray([f(float(xi)) for xi in x.ravel()]).reshape(x.shape)
 
     return call
+
+
+def _fsum(values):
+    """math.fsum of real or complex values (real and imaginary parts apart)."""
+    values = list(values)
+    total = math.fsum(v.real for v in values)
+    if any(isinstance(v, complex) for v in values):
+        return complex(total, math.fsum(v.imag for v in values))
+    return total
 
 
 def _panel(fvec, a: float, b: float):
@@ -161,29 +186,33 @@ def _adaptive(fvec, a: float, b: float, tol: float, limit: int,
 
     min_width = max(abs(a), abs(b), 1.0) * 1e-15
 
-    def totals():
-        ordered = sorted(segments.values(), key=lambda s: s[0])
-        value = sum(s[2] for s in ordered)
-        err = float(sum(s[3] for s in ordered))
-        return value, err
+    def exact_sum(index: int):
+        return _fsum(seg[index] for seg in segments.values())
 
+    # err_run is a running total of the live errors; drift bounds its
+    # accumulated rounding, so err_run - drift <= tol is a sure precondition
+    # for the exact fsum test
+    err_run, drift = exact_sum(3), 0.0
     while True:
-        value, err_total = totals()
-        if err_total <= tol:
-            return QuadratureResult(value, err_total, evaluations)
+        if err_run - drift <= tol:
+            err_run, drift = exact_sum(3), 0.0
+            if err_run <= tol:
+                return QuadratureResult(exact_sum(2), err_run, evaluations)
         if len(segments) >= limit:
+            err_run = exact_sum(3)
             raise QuadratureError(
-                f"quadrature did not converge: error {err_total:.3e} > tol "
+                f"quadrature did not converge: error {err_run:.3e} > tol "
                 f"{tol:.3e} after {len(segments)} intervals",
-                value=value, error_estimate=err_total, evaluations=evaluations)
-        neg_err, key = heapq.heappop(heap)
-        if key not in segments:
-            continue
-        lo, hi, _, _ = segments.pop(key)
+                value=exact_sum(2), error_estimate=err_run,
+                evaluations=evaluations)
+        _, key = heapq.heappop(heap)
+        lo, hi, _, old_err = segments[key]
         if hi - lo < min_width:
             raise QuadratureError(
                 "quadrature interval collapsed below machine resolution",
-                value=value, error_estimate=err_total, evaluations=evaluations)
+                value=exact_sum(2), error_estimate=exact_sum(3),
+                evaluations=evaluations)
+        del segments[key]
         mid = 0.5 * (lo + hi)
         for sub in ((lo, mid), (mid, hi)):
             val, err = _panel(fvec, *sub)
@@ -191,6 +220,9 @@ def _adaptive(fvec, a: float, b: float, tol: float, limit: int,
             segments[counter] = (sub[0], sub[1], val, err)
             heapq.heappush(heap, (-err, counter))
             counter += 1
+            err_run += err
+        err_run -= old_err
+        drift += 3.0 * _EPS * (err_run + old_err)
 
 
 def integrate_finite(f: Callable, a: float, b: float, tol: float = _DEFAULT_TOL,
@@ -247,6 +279,66 @@ def integrate_real_line(f: Callable, decay: float = 1.0,
     return QuadratureResult(res.value, res.error_estimate, 2 * res.evaluations)
 
 
+def integrate_exp_sinh(f: Callable, decay: float = 1.0,
+                       tol: float = _DEFAULT_TOL) -> QuadratureResult:
+    """Integrate f, analytic on (0, inf), over (0, inf) to absolute
+    tolerance tol by the exp-sinh rule (Takahasi-Mori 1974).
+
+    u = L exp((pi/2) sinh tau) with L = 1/decay, and the trapezoid rule in
+    tau with step h = 1/2, 1/4, ...; each level is one call of f on the new
+    nodes only.  The first level spans the whole tau window and trims it to
+    the nodes whose terms exceed eps times the largest one, plus one node on
+    each side; the window's end terms enter the error estimate, so an
+    integrand that has not died out inside it cannot converge.  The result
+    is the first level, from the third on, that agrees with the one before
+    to tol; QuadratureError carries the last level if none does by h =
+    2^-12.  Integrable algebraic singularities at 0 are admissible; f must
+    be finite at every node.
+    """
+    if decay <= 0:
+        raise DomainError("decay hint must be > 0")
+    if tol <= 0:
+        raise DomainError("tolerance must be > 0")
+    L = 1.0 / float(decay)
+    fvec = as_array_fn(f)
+
+    def terms(tau: np.ndarray) -> np.ndarray:
+        u = L * np.exp(0.5 * math.pi * np.sinh(tau))
+        y = fvec(u)
+        if not np.isfinite(y).all():
+            bad = u[~np.isfinite(y)]
+            raise NonFiniteIntegrandError(
+                f"integrand returned a non-finite value near u={bad[0]:.6g}")
+        return y * (u * (0.5 * math.pi) * np.cosh(tau))
+
+    h = 0.5
+    lo, hi = _DE_TAU
+    tau = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
+    first = terms(tau)
+    evaluations = tau.size
+    size = np.abs(first)
+    tail = h * (size[0] + size[-1])
+    keep = np.flatnonzero(size > _EPS * size.max())
+    i, j = (max(keep[0] - 1, 0), min(keep[-1] + 1, tau.size - 1)) \
+        if keep.size else (0, tau.size - 1)
+    a, b = tau[i], tau[j]
+    total = h * np.sum(first[i:j + 1])
+    count = int(j - i)  # intervals of width h in [a, b]
+    for level in range(1, _DE_LEVELS):
+        h *= 0.5
+        new = terms(a + h * (2.0 * np.arange(count) + 1.0))
+        evaluations += count
+        count *= 2
+        previous, total = total, 0.5 * total + h * np.sum(new)
+        error = float(abs(total - previous) + tail)
+        if level >= 2 and error <= tol:
+            return QuadratureResult(total.item(), error, evaluations)
+    raise QuadratureError(
+        f"exp-sinh levels did not agree: difference {error:.3e} > tol "
+        f"{tol:.3e} at step {h:g}",
+        value=total.item(), error_estimate=error, evaluations=evaluations)
+
+
 def log_gamma(s):
     """Principal branch of log Gamma(s) on the right half plane Re(s) > 0."""
     z = complex(s)
@@ -286,18 +378,16 @@ def reciprocal_gamma(s):
     return float(out.real)
 
 
-def k_bessel(args: KBesselArgs, tol: float = 1e-12) -> float:
-    """K-Bessel integral int_0^inf exp(-(a^2 t + b^2/t)) t^s dt/t.
+def k_bessel(args: KBesselArgs):
+    """K-Bessel integral int_0^inf exp(-(a^2 t + b^2/t)) t^s dt/t
+    = 2 (b/a)^s K_s(2ab) (DLMF 10.32.10), elementwise in b.
 
-    The exponent is shifted by its maximum -2ab and the factor exp(-2ab)
-    restored afterwards, so the result keeps full relative precision even
-    when the value underflows toward the 1e-15 range.
+    K_s(2ab) is taken as scipy's kve, K_s(z) e^z, times a separate e^{-2ab}:
+    each factor is then accurate to a few ulp, so the value keeps full
+    relative precision down to the underflow threshold (one exponential of
+    s log(b/a) - 2ab would lose |2ab| ulp).  A scalar b gives a float.
     """
-    s, a, b = args.s, args.a, args.b
-    shift = 2.0 * a * b
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(-(a * a * t + b * b / t - shift) + (s - 1.0) * np.log(t))
-
-    res = integrate_semi_infinite(integrand, decay=a * a, tol=tol)
-    return math.exp(-shift) * float(np.real(res.value))
+    s, a, b = args.s, args.a, np.asarray(args.b, dtype=float)
+    z = 2.0 * a * b
+    out = 2.0 * _sp.kve(s, z) * (b / a) ** s * np.exp(-z)
+    return float(out) if out.ndim == 0 else out

@@ -37,7 +37,8 @@ from .errors import (AdmissibilityError, AlphaCollisionError, DomainError,
                      InvariantViolation)
 from .geometry import SurfaceData
 from .hplane import heat_kernel_h
-from .special_fn import as_array_fn, digamma, integrate_semi_infinite
+from .special_fn import (as_array_fn, digamma, integrate_exp_sinh,
+                         integrate_semi_infinite)
 
 __all__ = [
     "TraceSeries",
@@ -124,7 +125,7 @@ def identity_trace(vol: float, t: float, tol: float = 1e-12) -> float:
     def integrand(r: np.ndarray):
         return np.exp(-t * r * r) / np.cosh(math.pi * r) ** 2
 
-    res = integrate_semi_infinite(integrand, decay=max(t, 1.0), tol=tol)
+    res = integrate_exp_sinh(integrand, decay=max(t, 1.0), tol=tol)
     return vol * math.exp(-t / 4.0) / (4.0 * t) * float(np.real(res.value))
 
 
@@ -274,8 +275,14 @@ def cone_integral(orders, hhat: Callable, decay: float, tol: float) -> float:
     a continued fraction for y < 1 and directly above.  The difference loses
     at most a factor 2 to cancellation, at q = 2 and large x.  F falls off
     like 2 e^{-u/2}, so decay = 1/2 fits any bounded hhat; an hhat narrower
-    than that needs the larger rate that matches its width.  The cost does
-    not grow with the orders.
+    than that needs the larger rate that matches its width.
+
+    F is analytic on (0, inf), with its nearest poles at u = +-2 pi i/q, so
+    an analytic hhat makes the integral one exp-sinh quadrature
+    (special_fn.integrate_exp_sinh): a few array calls of hhat F, whose cost
+    does not grow with the orders and grows only slowly with q as the poles
+    close in on u = 0 (the Gaussian of ETr takes 169-360 nodes for
+    q <= 1000 and 712-775 at q = 1e7).
     """
     orders = [int(q) for q in orders]
     if not orders:
@@ -283,8 +290,8 @@ def cone_integral(orders, hhat: Callable, decay: float, tol: float) -> float:
     if min(orders) < 2:
         raise DomainError(f"cone order must be >= 2, got {min(orders)}")
     series = _cone_series(orders)
-    res = integrate_semi_infinite(lambda u: hhat(u) * series(u),
-                                  decay=decay, tol=2.0 * tol)
+    res = integrate_exp_sinh(lambda u: hhat(u) * series(u),
+                             decay=decay, tol=2.0 * tol)
     return 0.5 * float(np.real(res.value))
 
 
@@ -295,7 +302,7 @@ def elliptic_trace_u(orders, t: float, tol: float = 1e-12) -> float:
 
     that is e^{-t/4} times cone_integral of the Gaussian
     hhat(u) = e^{-u^2/4t}/sqrt(4 pi t), the transform of h(r) = e^{-t r^2}:
-    one quadrature whatever the orders.  The map scale follows the
+    one exp-sinh quadrature whatever the orders.  The map scale follows the
     Gaussian's width sqrt(4t) down to any t > 0.
     """
     if not t > 0:

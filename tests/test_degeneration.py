@@ -1,11 +1,13 @@
 """Degeneration asymptotics: S(q), moment kernels, counting sums, fits.
 
 Oracles: direct summation, scipy.integrate.quad on the kernel integrals,
-the Fermi partition identity, and exact linear data for the fits.
+mpmath on the cone u-integral, the Fermi partition identity, and exact
+linear data for the fits.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -161,6 +163,46 @@ class TestCountingSum:
                         degenerating=(2,))
         assert g_degenerating_counting(s, w, T, tol=1e-12) == pytest.approx(
             oracle, abs=1e-11)
+
+    @pytest.mark.parametrize("q", [15, 10 ** 7])
+    @pytest.mark.parametrize("w", [0, 1])
+    def test_large_T_against_mpmath(self, q, w):
+        # (1/2) int_0^inf hhat(u) F(u) du in mpmath, F from the closed form
+        # of the n-sum; near u = 0 at 40 digits with J_nu, where the closed
+        # form cancels, beyond u = 1 at 20 digits with J_{1/2}, J_{3/2} in
+        # elementary form, split every two periods of the Bessel factor
+        T = 50.0
+        R = mp.sqrt(mp.mpf(T) - mp.mpf(1) / 4)
+        nu = w + mp.mpf(1) / 2
+        scale = mp.gamma(w + 1) / (2 * mp.sqrt(mp.pi))
+
+        def series(u):
+            x = u / 2
+            return mp.cosh(x) * (2 * q * mp.coth(q * x) / mp.sinh(2 * x)
+                                 - 1 / mp.sinh(x) ** 2) / q
+
+        def near(u):
+            return scale * (2 * R / u) ** nu * mp.besselj(nu, R * u) * series(u)
+
+        def far(u):
+            z = R * u
+            h = mp.sin(z) if w == 0 else 2 * R * (mp.sin(z) / z - mp.cos(z)) / u
+            return h / (mp.pi * u) * series(u)
+
+        with mp.workdps(40):
+            eps = mp.mpf("1e-14") / q  # [0, eps] as its limit
+            head = mp.quad(near, [eps] + [mp.mpf(10) ** k for k in
+                                          range(-int(math.log10(q)), 1)])
+            head += (eps * mp.mpf(q * q - 1) / (3 * q)
+                     * scale * R ** (2 * nu) / mp.gamma(nu + 1))
+        with mp.workdps(20):
+            tail = mp.quad(far, [1 + 4 * k * mp.pi / R
+                                 for k in range(int(70 * R / (4 * math.pi)) + 1)])
+        oracle = float((head + tail) / 2)
+        s = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 3, q),
+                        degenerating=(2,))
+        assert g_degenerating_counting(s, w, T, tol=1e-12) == pytest.approx(
+            oracle, rel=1e-14, abs=1e-12)
 
     def test_multiple_cones_additive(self):
         s2 = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 40, 60),

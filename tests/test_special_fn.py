@@ -1,11 +1,12 @@
 """Quadrature engines and special functions.
 
 Independent oracles: scipy.integrate.quad (a different adaptive scheme),
-mpmath-free closed forms, and series/recurrence identities.
+closed forms, series/recurrence identities and mpmath's K-Bessel function.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,9 +14,9 @@ from scipy.integrate import quad
 from degenspec.errors import (DomainError, NonFiniteIntegrandError,
                               QuadratureError)
 from degenspec.special_fn import (KBesselArgs, QuadratureResult, digamma,
-                                  integrate_finite, integrate_real_line,
-                                  integrate_semi_infinite, k_bessel,
-                                  log_gamma, reciprocal_gamma)
+                                  integrate_exp_sinh, integrate_finite,
+                                  integrate_real_line, integrate_semi_infinite,
+                                  k_bessel, log_gamma, reciprocal_gamma)
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -78,6 +79,66 @@ class TestIntegrateSemiInfinite:
     def test_bad_decay_hint(self):
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda t: np.exp(-t), decay=0.0)
+
+
+class TestIntegrateExpSinh:
+    def test_exponential(self):
+        res = integrate_exp_sinh(lambda t: np.exp(-t), decay=1.0, tol=1e-12)
+        assert abs(res.value - 1.0) <= 1e-15
+        assert res.error_estimate <= 1e-12
+
+    def test_sech_squared(self):
+        # int_0^inf sech^2(pi r) dr = 1/pi
+        res = integrate_exp_sinh(lambda r: 1.0 / np.cosh(np.pi * r) ** 2,
+                                 decay=1.0, tol=1e-12)
+        assert abs(res.value - 1.0 / math.pi) <= 1e-15
+
+    def test_complex_integrand(self):
+        res = integrate_exp_sinh(lambda t: np.exp(-(1.0 + 2.0j) * t),
+                                 decay=1.0, tol=1e-12)
+        assert abs(res.value - 1.0 / (1.0 + 2.0j)) <= 1e-14
+
+    def test_endpoint_power_singularity(self):
+        # int_0^inf u^{-0.4} e^{-u} du = Gamma(0.6); the adaptive engine
+        # collapses on this endpoint, a lower cutoff of e^{-43} misses 9e-12
+        res = integrate_exp_sinh(lambda u: u ** -0.4 * np.exp(-u), decay=1.0,
+                                 tol=1e-13)
+        assert abs(res.value - math.gamma(0.6)) <= 1e-12
+
+    def test_undecayed_integrand_at_window_end_raises(self):
+        # 0.06 of Gamma(0.05) = 19.5 lies below u = 2.3e-51, the window's end
+        with pytest.raises(QuadratureError):
+            integrate_exp_sinh(lambda u: u ** -0.95 * np.exp(-u), decay=1.0,
+                               tol=1e-10)
+
+    def test_levels_that_never_agree_raise_with_best_estimate(self):
+        with pytest.raises(QuadratureError) as err:
+            integrate_exp_sinh(lambda t: np.sin(50.0 * t) * np.exp(-0.01 * t),
+                               decay=0.01, tol=1e-14)
+        exc = err.value
+        assert math.isfinite(exc.value)
+        assert exc.error_estimate > 1e-14
+        assert exc.evaluations > 0
+
+    def test_nan_rejected(self):
+        with pytest.raises(NonFiniteIntegrandError):
+            integrate_exp_sinh(lambda t: np.full_like(t, np.nan), decay=1.0)
+
+    def test_bad_arguments(self):
+        with pytest.raises(DomainError):
+            integrate_exp_sinh(lambda t: np.exp(-t), decay=0.0)
+        with pytest.raises(DomainError):
+            integrate_exp_sinh(lambda t: np.exp(-t), tol=0.0)
+
+    def test_bit_identical_repeats(self):
+        def f(t):
+            return np.exp(-1.3 * t) * np.cos(t)
+
+        a = integrate_exp_sinh(f, decay=1.3, tol=1e-12)
+        b = integrate_exp_sinh(f, decay=1.3, tol=1e-12)
+        assert a.value == b.value
+        assert a.error_estimate == b.error_estimate
+        assert a.evaluations == b.evaluations
 
 
 class TestIntegrateFinite:
@@ -224,9 +285,30 @@ class TestKBessel:
         v2 = k_bessel(KBesselArgs(s=-s, a=b, b=a))
         assert abs(v1 - v2) <= 1e-10 * max(abs(v1), 1e-300)
 
+    @pytest.mark.parametrize("s,a,b", [
+        (0.5, 1.5, 0.2), (0.0, 1.1, 1.3), (-2.3, 0.7, 2.0), (4.5, 0.05, 0.3),
+        (12.0, 3.0, 0.01),
+        # 2ab = 680 and 690: values of 1e-298 to 1e-290
+        (0.5, 1.0, 340.0), (-0.5, 2.0, 170.0), (1.7, 0.25, 1360.0),
+        (3.0, 0.5, 690.0)])
+    def test_against_mpmath(self, s, a, b):
+        val = k_bessel(KBesselArgs(s=s, a=a, b=b))
+        with mp.workdps(40):
+            ref = 2 * (mp.mpf(b) / a) ** s * mp.besselk(s, 2 * mp.mpf(a) * b)
+        assert abs(val / float(ref) - 1.0) <= 5e-15
+
+    def test_array_in_b(self):
+        b = np.array([0.1, 0.7, 3.0, 40.0])
+        vals = k_bessel(KBesselArgs(s=0.5, a=1.3, b=b))
+        assert vals.shape == b.shape
+        assert all(v == k_bessel(KBesselArgs(s=0.5, a=1.3, b=float(x)))
+                   for v, x in zip(vals, b))
+
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             KBesselArgs(s=0.5, a=0.0, b=1.0)
+        with pytest.raises(DomainError):
+            KBesselArgs(s=0.5, a=1.0, b=np.array([1.0, 0.0]))
         with pytest.raises(DomainError):
             KBesselArgs(s=0.5, a=1.0, b=-1.0)
 

@@ -46,10 +46,10 @@ class TestIdentityTrace:
 
     def test_equals_volume_times_plane_kernel(self):
         # integration-by-parts identity between the two diagonal forms
-        for t in (0.1, 1.0, 10.0):
+        for t in (1e-3, 0.1, 1.0, 10.0):
             lhs = identity_trace(5.5, t)
             rhs = 5.5 * heat_kernel_h(t, 0.0)
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+            assert lhs == pytest.approx(rhs, rel=1e-14)
 
     def test_upper_bound(self):
         for t in (0.01, 1.0, 4.0):
@@ -130,12 +130,13 @@ class TestEllipticTraces:
         oracle = math.exp(-t / 4) / math.sqrt(16 * math.pi * t) * total
         assert elliptic_trace_u([q], t) == pytest.approx(oracle, rel=1e-10)
 
-    @pytest.mark.parametrize("q", [2, 3, 5, 12])
-    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("q", [2, 3, 5, 12, 50])
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0])
     def test_dual_representation(self, q, t):
+        # the u-route (exp-sinh rule) against the per-n r-route (adaptive)
         u = elliptic_trace_u([q], t)
         r = elliptic_trace_r([q], t)
-        assert abs(u - r) <= 1e-8 * (1.0 + abs(u))
+        assert u == pytest.approx(r, rel=1e-13)
 
     def test_long_time_decay(self):
         t = 50.0
@@ -195,23 +196,34 @@ class TestEllipticTraces:
         parts = math.fsum(elliptic_trace_u([q], t) for q in orders)
         assert elliptic_trace_u(orders, t) == pytest.approx(parts, rel=1e-14)
 
-    def test_huge_order_small_time(self):
-        q, t = 10 ** 7, 1e-3
-        val = elliptic_trace_u([q], t)
-        assert math.isfinite(val)
+    def _mp_single_order(self, q, t):
+        """ETr of one cone of order q by mpmath quadrature of the u-form."""
         with mp.workdps(50):
             def f(u):
                 return mp.exp(-u * u / (4 * t)) * self._mp_series(q, u)
 
             # tanh-sinh nodes crowd u = 0, where 50 digits cannot carry the
             # cancellation: [0, 1e-20] is taken as its limit (q^2 - 1)/3q
-            # times the width, and the Gaussian has died (e^{-640}) by 1.6
+            # times the width; the Gaussian and e^{-u/2} have died (below
+            # e^{-200}) by 30 sqrt(t) + 1
             eps = mp.mpf("1e-20")
+            top = 30 * math.sqrt(t) + 1
             points = [eps] + [mp.mpf(10) ** k / q for k in range(0, 7)] \
-                + [0.2, 0.4, 0.8, 1.6]
-            total = mp.quad(f, points) + eps * (q * q - 1) / (3 * q)
-            oracle = float(mp.exp(-t / 4) / mp.sqrt(16 * mp.pi * t) * total)
-        assert val == pytest.approx(oracle, rel=1e-11)
+                + [top * k / 8 for k in range(1, 9) if top * k / 8 > 0.1]
+            total = mp.quad(f, sorted(points)) + eps * (q * q - 1) / (3 * q)
+            return float(mp.exp(-t / 4) / mp.sqrt(16 * mp.pi * t) * total)
+
+    def test_huge_order_small_time(self):
+        q, t = 10 ** 7, 1e-3
+        val = elliptic_trace_u([q], t)
+        assert math.isfinite(val)
+        assert val == pytest.approx(self._mp_single_order(q, t), rel=1e-11)
+
+    @pytest.mark.parametrize("q,rel", [(1000, 1e-15), (10 ** 7, 5e-14)])
+    @pytest.mark.parametrize("t", [0.05, 1.0, 10.0])
+    def test_large_order_against_mpmath(self, q, rel, t):
+        assert elliptic_trace_u([q], t) == pytest.approx(
+            self._mp_single_order(q, t), rel=rel)
 
     @pytest.mark.parametrize("orders", [(2, 3), (50,)])
     @pytest.mark.parametrize("t", [1e-14, 1e-16])

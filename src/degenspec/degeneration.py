@@ -138,7 +138,9 @@ def g_degenerating_counting(surface: SurfaceData, w: float, T: float,
         hhat(u) = Gamma(w+1)/(2 sqrt(pi)) (2R/u)^{w+1/2} J_{w+1/2}(R u)
 
     (DLMF 10.9.4), which falls off like u^{-w-1}; the cone series sets the
-    decay e^{-u/2}.  One quadrature for all the orders, at any q.
+    decay e^{-u/2}.  One quadrature for all the orders, at any q; its
+    period 2 pi/R is resolved up to T = 3e6, and beyond it the quadrature
+    may raise QuadratureError.
     """
     if w < 0:
         raise DomainError(f"weight must be >= 0, got {w}")

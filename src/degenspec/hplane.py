@@ -23,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .special_fn import integrate_exp_sinh
-# unused here: bench/tracing.py wraps integrate_semi_infinite at this binding
 from .special_fn import integrate_semi_infinite
 
 __all__ = ["ComplexTime", "heat_kernel_h", "heat_kernel_h_complex"]
@@ -61,7 +59,8 @@ def _diagonal_kernel(z: complex, tol: float) -> complex:
     def integrand(x: np.ndarray):
         return np.exp(-(x * x) * (z / t)) * np.tanh(np.pi * x / rt) * x
 
-    res = integrate_exp_sinh(integrand, decay=1.0, tol=tol)
+    res = integrate_semi_infinite(integrand, decay=1.0, tol=tol,
+                                  rule="exp-sinh")
     return np.exp(-0.25 * z) * res.value / (2.0 * math.pi * t)
 
 
@@ -79,7 +78,8 @@ def _off_diagonal_kernel(z: complex, d: float, tol: float) -> complex:
 
     # v-scale: e^{-u^2/4t} dies once u - d ~ 13 sqrt(t); v ~ (13 sqrt t)^{1/2}
     rate = 1.0 / max(math.sqrt(13.0 * math.sqrt(t)), 1e-3)
-    res = integrate_exp_sinh(integrand, decay=rate, tol=tol)
+    res = integrate_semi_infinite(integrand, decay=rate, tol=tol,
+                                  rule="exp-sinh")
     prefac = math.sqrt(2.0) * np.exp(-z / 4.0) / (4.0 * math.pi * z) ** 1.5
     return prefac * res.value
 

@@ -1,11 +1,12 @@
 """Special functions and the two quadrature engines used by every module.
 
-integrate_exp_sinh is a double-exponential rule (Takahasi-Mori 1974) for
-integrands known to be analytic on (0, inf): the map u = L exp((pi/2) sinh
-tau), L = 1/decay, and the trapezoid rule in tau, with the step halved from
-1/2 until two successive levels agree.  Each level is one array call of the
-integrand on that level's new nodes.  It serves the cone, plane-kernel and
-identity integrals, whose integrands are analytic in a strip.
+integrate_semi_infinite(..., rule="exp-sinh") is a double-exponential rule
+(Takahasi-Mori 1974) for integrands known to be analytic on (0, inf): the
+map u = L exp((pi/2) sinh tau), L = 1/decay, and the trapezoid rule in tau,
+with the step halved from 1/2 until two successive levels agree.  Each level
+is one array call of the integrand on that level's new nodes.  It serves the
+cone, plane-kernel and identity integrals, whose integrands are analytic in
+a strip.
 
 Everything else goes to the adaptive engine: a 7-15 Gauss-Kronrod rule
 driven by worst-interval bisection.  Semi-infinite integrals are mapped onto
@@ -37,7 +38,6 @@ __all__ = [
     "integrate_finite",
     "integrate_semi_infinite",
     "integrate_real_line",
-    "integrate_exp_sinh",
     "as_array_fn",
 ]
 
@@ -82,9 +82,14 @@ _EPS = float(np.finfo(float).eps)
 # exp-sinh rule: the tau window keeps u = L e^{(pi/2) sinh tau} inside
 # [2.3e-51 L, 4.5e18 L], so neither u nor the weight under- or overflows, an
 # integrable u^{a-1} at 0 loses at most (2.3e-51)^a/a and e^{-decay u} is
-# e^{-4.5e18} at the top; the step halves from 1/2 down to 2^-_DE_LEVELS.
+# e^{-4.5e18} at the top; the step halves from 1/2 down to 2^-_DE_LEVELS,
+# fine enough for the counting sum's Bessel kernel, of period 2 pi/sqrt(T -
+# 1/4), up to T = 3e6 (at T = 1e7 the levels still differ by 4e-9).
 _DE_TAU = (-5.0, 4.0)
-_DE_LEVELS = 12
+_DE_LEVELS = 16
+# two levels cannot agree closer than the rounding of their sums, a few ulp
+# of the integral of |f|
+_DE_ROUNDING = 8.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -189,13 +194,12 @@ def _adaptive(fvec, a: float, b: float, tol: float, limit: int,
     def exact_sum(index: int):
         return _fsum(seg[index] for seg in segments.values())
 
-    # err_run is a running total of the live errors; drift bounds its
-    # accumulated rounding, so err_run - drift <= tol is a sure precondition
-    # for the exact fsum test
-    err_run, drift = exact_sum(3), 0.0
+    # err_run is a running total of the live errors; it drifts by rounding,
+    # so it only triggers the exact test
+    err_run = exact_sum(3)
     while True:
-        if err_run - drift <= tol:
-            err_run, drift = exact_sum(3), 0.0
+        if err_run <= tol:
+            err_run = exact_sum(3)
             if err_run <= tol:
                 return QuadratureResult(exact_sum(2), err_run, evaluations)
         if len(segments) >= limit:
@@ -222,7 +226,6 @@ def _adaptive(fvec, a: float, b: float, tol: float, limit: int,
             counter += 1
             err_run += err
         err_run -= old_err
-        drift += 3.0 * _EPS * (err_run + old_err)
 
 
 def integrate_finite(f: Callable, a: float, b: float, tol: float = _DEFAULT_TOL,
@@ -237,17 +240,28 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = _DEFAULT_TOL,
 
 def integrate_semi_infinite(f: Callable, decay: float = 1.0,
                             tol: float = _DEFAULT_TOL, *,
-                            limit: int = _DEFAULT_LIMIT) -> QuadratureResult:
+                            limit: int = _DEFAULT_LIMIT,
+                            rule: str = "gauss-kronrod") -> QuadratureResult:
     """Integrate f over (0, inf) to absolute tolerance tol.
 
     `decay` is an exponential-rate hint: f should eventually fall off at
-    least like exp(-decay*t).  It fixes the scale L = 1/decay of the map
-    t = L*u/(1-u) and the initial panel layout; slower (polynomial) decay
-    still converges through subdivision toward u = 1 as long as the
-    integral exists.
+    least like exp(-decay*t).  It fixes the scale L = 1/decay of the map.
+
+    rule="gauss-kronrod" (any f): the map t = L*u/(1-u) onto [0, 1] and
+    adaptive bisection from a fixed initial panel layout, at most `limit`
+    intervals; slower (polynomial) decay still converges through
+    subdivision toward u = 1 as long as the integral exists.
+
+    rule="exp-sinh" (f analytic on (0, inf), finite at every node):
+    the double-exponential rule, one array call of f per level; integrable
+    algebraic singularities at 0 are admissible, `limit` does not apply.
     """
     if decay <= 0:
         raise DomainError("decay hint must be > 0")
+    if rule == "exp-sinh":
+        return _exp_sinh(f, decay, tol)
+    if rule != "gauss-kronrod":
+        raise DomainError(f"unknown quadrature rule {rule!r}")
     L = 1.0 / float(decay)
     fvec = as_array_fn(f)
 
@@ -279,10 +293,9 @@ def integrate_real_line(f: Callable, decay: float = 1.0,
     return QuadratureResult(res.value, res.error_estimate, 2 * res.evaluations)
 
 
-def integrate_exp_sinh(f: Callable, decay: float = 1.0,
-                       tol: float = _DEFAULT_TOL) -> QuadratureResult:
-    """Integrate f, analytic on (0, inf), over (0, inf) to absolute
-    tolerance tol by the exp-sinh rule (Takahasi-Mori 1974).
+def _exp_sinh(f: Callable, decay: float, tol: float) -> QuadratureResult:
+    """The exp-sinh rule (Takahasi-Mori 1974) over (0, inf) for f analytic
+    on (0, inf).
 
     u = L exp((pi/2) sinh tau) with L = 1/decay, and the trapezoid rule in
     tau with step h = 1/2, 1/4, ...; each level is one call of f on the new
@@ -291,12 +304,9 @@ def integrate_exp_sinh(f: Callable, decay: float = 1.0,
     each side; the window's end terms enter the error estimate, so an
     integrand that has not died out inside it cannot converge.  The result
     is the first level, from the third on, that agrees with the one before
-    to tol; QuadratureError carries the last level if none does by h =
-    2^-12.  Integrable algebraic singularities at 0 are admissible; f must
-    be finite at every node.
+    to tol, or to a few ulp of the integral of |f| where that is larger;
+    QuadratureError carries the last level if none does by h = 2^-16.
     """
-    if decay <= 0:
-        raise DomainError("decay hint must be > 0")
     if tol <= 0:
         raise DomainError("tolerance must be > 0")
     L = 1.0 / float(decay)
@@ -321,9 +331,12 @@ def integrate_exp_sinh(f: Callable, decay: float = 1.0,
     keep = np.flatnonzero(size > _EPS * size.max())
     i, j = (max(keep[0] - 1, 0), min(keep[-1] + 1, tau.size - 1)) \
         if keep.size else (0, tau.size - 1)
-    a, b = tau[i], tau[j]
+    a = tau[i]
     total = h * np.sum(first[i:j + 1])
-    count = int(j - i)  # intervals of width h in [a, b]
+    # the first level's integral of |f| sets the rounding floor
+    floor = float(_DE_ROUNDING * h * np.sum(size[i:j + 1]))
+    stop = max(tol, floor)
+    count = int(j - i)  # intervals of width h in [a, tau[j]]
     for level in range(1, _DE_LEVELS):
         h *= 0.5
         new = terms(a + h * (2.0 * np.arange(count) + 1.0))
@@ -331,12 +344,13 @@ def integrate_exp_sinh(f: Callable, decay: float = 1.0,
         count *= 2
         previous, total = total, 0.5 * total + h * np.sum(new)
         error = float(abs(total - previous) + tail)
-        if level >= 2 and error <= tol:
-            return QuadratureResult(total.item(), error, evaluations)
+        if level >= 2 and error <= stop:
+            return QuadratureResult(total.item(), max(error, floor), evaluations)
     raise QuadratureError(
-        f"exp-sinh levels did not agree: difference {error:.3e} > tol "
-        f"{tol:.3e} at step {h:g}",
-        value=total.item(), error_estimate=error, evaluations=evaluations)
+        f"exp-sinh levels did not agree: difference {error:.3e} > "
+        f"{stop:.3e} at step {h:g}",
+        value=total.item(), error_estimate=max(error, floor),
+        evaluations=evaluations)
 
 
 def log_gamma(s):

@@ -37,8 +37,7 @@ from .errors import (AdmissibilityError, AlphaCollisionError, DomainError,
                      InvariantViolation)
 from .geometry import SurfaceData
 from .hplane import heat_kernel_h
-from .special_fn import (as_array_fn, digamma, integrate_exp_sinh,
-                         integrate_semi_infinite)
+from .special_fn import as_array_fn, digamma, integrate_semi_infinite
 
 __all__ = [
     "TraceSeries",
@@ -125,7 +124,8 @@ def identity_trace(vol: float, t: float, tol: float = 1e-12) -> float:
     def integrand(r: np.ndarray):
         return np.exp(-t * r * r) / np.cosh(math.pi * r) ** 2
 
-    res = integrate_exp_sinh(integrand, decay=max(t, 1.0), tol=tol)
+    res = integrate_semi_infinite(integrand, decay=max(t, 1.0), tol=tol,
+                                  rule="exp-sinh")
     return vol * math.exp(-t / 4.0) / (4.0 * t) * float(np.real(res.value))
 
 
@@ -279,8 +279,8 @@ def cone_integral(orders, hhat: Callable, decay: float, tol: float) -> float:
 
     F is analytic on (0, inf), with its nearest poles at u = +-2 pi i/q, so
     an analytic hhat makes the integral one exp-sinh quadrature
-    (special_fn.integrate_exp_sinh): a few array calls of hhat F, whose cost
-    does not grow with the orders and grows only slowly with q as the poles
+    (integrate_semi_infinite with rule="exp-sinh"): a few array calls of
+    hhat F, whose cost does not grow with the orders and grows only slowly with q as the poles
     close in on u = 0 (the Gaussian of ETr takes 169-360 nodes for
     q <= 1000 and 712-775 at q = 1e7).
     """
@@ -290,8 +290,8 @@ def cone_integral(orders, hhat: Callable, decay: float, tol: float) -> float:
     if min(orders) < 2:
         raise DomainError(f"cone order must be >= 2, got {min(orders)}")
     series = _cone_series(orders)
-    res = integrate_exp_sinh(lambda u: hhat(u) * series(u),
-                             decay=decay, tol=2.0 * tol)
+    res = integrate_semi_infinite(lambda u: hhat(u) * series(u),
+                                  decay=decay, tol=2.0 * tol, rule="exp-sinh")
     return 0.5 * float(np.real(res.value))
 
 

@@ -30,8 +30,8 @@ from .errors import (AlphaCollisionError, ConvergenceError, DivergenceError,
 from .geometry import DegeneratingFamily, SurfaceData
 # unused here: bench/tracing.py wraps heat_kernel_h at this binding
 from .hplane import heat_kernel_h
-from .special_fn import (as_array_fn, integrate_exp_sinh, integrate_finite,
-                         integrate_semi_infinite, reciprocal_gamma)
+from .special_fn import (as_array_fn, integrate_finite, integrate_semi_infinite,
+                         reciprocal_gamma)
 from .traces import (_check_alpha, _cone_series, degenerating_trace,
                      elliptic_trace_u, geodesic_sum, hyperbolic_trace,
                      standard_trace)
@@ -660,9 +660,10 @@ def _identity_zeta(vol: float, s, z, tol: float) -> complex:
     s = complex(s)
     if abs(s - 1.0) < _POLE_EPS:
         raise PoleError(f"simple pole at s = 1 with residue {vol / (4.0 * math.pi)}")
-    g = integrate_exp_sinh(
+    g = integrate_semi_infinite(
         lambda r: np.exp((1.0 - s) * np.log(r * r + 0.25 + z)) / np.cosh(math.pi * r) ** 2,
-        decay=2.0 * math.pi, tol=tol * min(1.0, abs(s - 1.0)) / max(1.0, 0.25 * vol))
+        decay=2.0 * math.pi, tol=tol * min(1.0, abs(s - 1.0)) / max(1.0, 0.25 * vol),
+        rule="exp-sinh")
     return 0.25 * vol * complex(g.value) / (s - 1.0)
 
 
@@ -699,8 +700,9 @@ def _cone_zeta_prime_zero(orders, tol: float) -> float:
     """zeta_E'(0) = (log 2/2) F(0) + (1/2) int_0^inf (F(u) - F(0)) e^{-u/2}
     du/u, F = _cone_series(orders), the integral held to tol max(1, F(0))."""
     series, f0 = _cone_series(orders), 4.0 * _cone_b0(orders)
-    res = integrate_exp_sinh(lambda u: (series(u) - f0) * np.exp(-0.5 * u) / u,
-                             decay=0.5, tol=2.0 * tol * max(1.0, f0))
+    res = integrate_semi_infinite(lambda u: (series(u) - f0) * np.exp(-0.5 * u) / u,
+                                  decay=0.5, tol=2.0 * tol * max(1.0, f0),
+                                  rule="exp-sinh")
     return 0.5 * math.log(2.0) * f0 + 0.5 * float(np.real(res.value))
 
 

@@ -164,14 +164,14 @@ class TestCountingSum:
         assert g_degenerating_counting(s, w, T, tol=1e-12) == pytest.approx(
             oracle, abs=1e-11)
 
-    @pytest.mark.parametrize("q", [15, 10 ** 7])
-    @pytest.mark.parametrize("w", [0, 1])
-    def test_large_T_against_mpmath(self, q, w):
+    @pytest.mark.parametrize("q,w,T", [
+        (15, 0, 50.0), (15, 1, 50.0), (10 ** 7, 0, 50.0), (10 ** 7, 1, 50.0),
+        (15, 0, 100.0), (10 ** 7, 1, 1000.0)])
+    def test_large_T_against_mpmath(self, q, w, T):
         # (1/2) int_0^inf hhat(u) F(u) du in mpmath, F from the closed form
         # of the n-sum; near u = 0 at 40 digits with J_nu, where the closed
         # form cancels, beyond u = 1 at 20 digits with J_{1/2}, J_{3/2} in
         # elementary form, split every two periods of the Bessel factor
-        T = 50.0
         R = mp.sqrt(mp.mpf(T) - mp.mpf(1) / 4)
         nu = w + mp.mpf(1) / 2
         scale = mp.gamma(w + 1) / (2 * mp.sqrt(mp.pi))
@@ -203,6 +203,18 @@ class TestCountingSum:
                         degenerating=(2,))
         assert g_degenerating_counting(s, w, T, tol=1e-12) == pytest.approx(
             oracle, rel=1e-14, abs=1e-12)
+
+    @pytest.mark.parametrize("T", [1e4, 1e5, 3e5])
+    def test_very_large_T_reaches_the_cone_constant(self, T):
+        # for w = 0, hhat(u) = sin(Ru)/(pi u) tends to half a delta at u = 0,
+        # so G -> F(0)/4 = (q^2 - 1)/12q, up to the residues of F at its
+        # poles +-2 pi i/q, of size e^{-2 pi R/q} (below 1e-18 here); the
+        # Bessel factor's period 2 pi/R is down to 0.011
+        q = 15
+        s = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 3, q),
+                        degenerating=(2,))
+        assert g_degenerating_counting(s, 0.0, T, tol=1e-10) == pytest.approx(
+            (q * q - 1) / (12.0 * q), abs=1e-10)
 
     def test_multiple_cones_additive(self):
         s2 = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 40, 60),

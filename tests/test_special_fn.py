@@ -14,9 +14,9 @@ from scipy.integrate import quad
 from degenspec.errors import (DomainError, NonFiniteIntegrandError,
                               QuadratureError)
 from degenspec.special_fn import (KBesselArgs, QuadratureResult, digamma,
-                                  integrate_exp_sinh, integrate_finite,
-                                  integrate_real_line, integrate_semi_infinite,
-                                  k_bessel, log_gamma, reciprocal_gamma)
+                                  integrate_finite, integrate_real_line,
+                                  integrate_semi_infinite, k_bessel, log_gamma,
+                                  reciprocal_gamma)
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -81,6 +81,10 @@ class TestIntegrateSemiInfinite:
             integrate_semi_infinite(lambda t: np.exp(-t), decay=0.0)
 
 
+def integrate_exp_sinh(f, **kwargs):
+    return integrate_semi_infinite(f, rule="exp-sinh", **kwargs)
+
+
 class TestIntegrateExpSinh:
     def test_exponential(self):
         res = integrate_exp_sinh(lambda t: np.exp(-t), decay=1.0, tol=1e-12)
@@ -120,6 +124,14 @@ class TestIntegrateExpSinh:
         assert exc.error_estimate > 1e-14
         assert exc.evaluations > 0
 
+    def test_tol_below_one_ulp_stops_at_the_rounding_floor(self):
+        # 1e-12 is below one ulp of 1e7 (1.9e-9): the levels stop once they
+        # agree to a few ulp, and the estimate says so
+        res = integrate_exp_sinh(lambda t: 1e7 * np.exp(-t), decay=1.0,
+                                 tol=1e-12)
+        assert 1e-12 < res.error_estimate <= 1e-7
+        assert abs(res.value - 1e7) <= res.error_estimate
+
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteIntegrandError):
             integrate_exp_sinh(lambda t: np.full_like(t, np.nan), decay=1.0)
@@ -129,6 +141,8 @@ class TestIntegrateExpSinh:
             integrate_exp_sinh(lambda t: np.exp(-t), decay=0.0)
         with pytest.raises(DomainError):
             integrate_exp_sinh(lambda t: np.exp(-t), tol=0.0)
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(lambda t: np.exp(-t), rule="tanh-sinh")
 
     def test_bit_identical_repeats(self):
         def f(t):

@@ -225,6 +225,26 @@ class TestEllipticTraces:
         assert elliptic_trace_u([q], t) == pytest.approx(
             self._mp_single_order(q, t), rel=rel)
 
+    @pytest.mark.parametrize("q", [10 ** 5, 3 * 10 ** 6, 10 ** 7])
+    def test_large_order_stops_at_the_rounding_floor(self, q, monkeypatch):
+        # the integral ~ q/3 has an ulp above the absolute tol 2e-12 that
+        # cone_integral passes: the rule stops once two levels agree to a
+        # few ulp, and reports that floor rather than 0
+        import degenspec.traces as traces
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(integrate_semi_infinite(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(traces, "integrate_semi_infinite", spy)
+        values = {t: elliptic_trace_u([q], t) for t in (1e-3, 0.05, 1.0, 10.0)}
+        assert len(results) == len(values)
+        for res in results:
+            assert 0 < res.error_estimate <= 1e-13 * abs(res.value)
+        assert values[1.0] == pytest.approx(self._mp_single_order(q, 1.0),
+                                            rel=5e-14)
+
     @pytest.mark.parametrize("orders", [(2, 3), (50,)])
     @pytest.mark.parametrize("t", [1e-14, 1e-16])
     def test_tiny_time_limit(self, orders, t):

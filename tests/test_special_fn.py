@@ -124,13 +124,15 @@ class TestIntegrateExpSinh:
         assert exc.error_estimate > 1e-14
         assert exc.evaluations > 0
 
-    def test_tol_below_one_ulp_stops_at_the_rounding_floor(self):
-        # 1e-12 is below one ulp of 1e7 (1.9e-9): the levels stop once they
-        # agree to a few ulp, and the estimate says so
-        res = integrate_exp_sinh(lambda t: 1e7 * np.exp(-t), decay=1.0,
-                                 tol=1e-12)
+    def test_tol_below_the_rounding_stops_at_the_rounding_floor(self):
+        # the integral is 0, but each term carries rounding of ~eps 1e7, so
+        # two levels differ by ~1e-10 at every step and never meet 1e-12:
+        # they stop at a few ulp of the integral of |f|, and say so
+        res = integrate_exp_sinh(
+            lambda t: 1e7 * (np.exp(-t) - 2.0 * np.exp(-2.0 * t)),
+            decay=1.0, tol=1e-12)
         assert 1e-12 < res.error_estimate <= 1e-7
-        assert abs(res.value - 1e7) <= res.error_estimate
+        assert abs(res.value) <= res.error_estimate
 
     def test_nan_rejected(self):
         with pytest.raises(NonFiniteIntegrandError):

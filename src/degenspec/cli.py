@@ -211,16 +211,16 @@ def _run_trace(config: RunConfig) -> Table:
     if not config.t_grid:
         raise DomainError("trace needs a t-grid (--t start:stop:count)")
     alpha = config.alpha
-    rows = []
-    for t in config.t_grid:
-        htr = traces.hyperbolic_trace(surface.length_spectrum, t)
-        etr = traces.elliptic_trace_u(surface.elliptic_orders, t, config.tol)
-        dtr = traces.elliptic_trace_u(surface.degenerating_orders, t, config.tol)
-        ident = traces.identity_trace(surface.volume, t, config.tol)
-        strace = htr + etr + ident
-        if alpha is not None:
-            strace -= traces.removed_modes(surface, alpha, t)
-        rows.append([t, strace, htr, etr, dtr])
+    # each column is one call over the whole grid
+    grid = np.asarray(config.t_grid, dtype=float)
+    htr = traces.hyperbolic_trace(surface.length_spectrum, grid)
+    etr = traces.elliptic_trace_u(surface.elliptic_orders, grid, config.tol)
+    dtr = traces.elliptic_trace_u(surface.degenerating_orders, grid, config.tol)
+    strace = htr + etr + traces.identity_trace(surface.volume, grid, config.tol)
+    if alpha is not None:
+        strace -= [traces.removed_modes(surface, alpha, t) for t in grid]
+    rows = [list(row) for row in zip(config.t_grid, strace.tolist(),
+                                     htr.tolist(), etr.tolist(), dtr.tolist())]
     return Table(columns=["t", "Str", "HTr", "ETr", "DTr"], rows=rows,
                  comments=_comments(config))
 

@@ -6,14 +6,17 @@ map u = L exp((pi/2) sinh tau), L = 1/decay, and the trapezoid rule in tau,
 with the step halved from 1/2 until two successive levels agree.  Each level
 is one array call of the integrand on that level's new nodes.  It serves the
 cone, plane-kernel and identity integrals, whose integrands are analytic in
-a strip.
+a strip.  An array of decay rates batches a family of such integrals, one
+row per entry (the heat-trace terms at every t of a grid or of a Mellin
+panel): each level is then one call on a (rows, nodes) array.
 
 Everything else goes to the adaptive engine: a 7-15 Gauss-Kronrod rule
 driven by worst-interval bisection.  Semi-infinite integrals are mapped onto
 [0, 1] with t = L*u/(1-u), where the scale L is chosen from the caller's
 exponential decay hint.  The rule never samples interval endpoints, so
 integrable endpoint singularities (Mellin weights t^{s-1}, inverse-square-root
-factors) are handled by plain subdivision.
+factors) are handled by plain subdivision.  The initial panel layout is one
+integrand call, and so is each bisection, on the nodes of both halves.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ _NODES = np.concatenate([-_XGK_HALF[:7], _XGK_HALF[::-1]])
 _WK = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WGAUSS = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
+# the Kronrod and the Gauss weights on the 15 nodes as the two columns of one
+# matrix, so y @ _WEIGHTS gives both sums of every panel
+_WEIGHTS = np.zeros((_NODES.size, 2))
+_WEIGHTS[:, 0] = _WK
+_WEIGHTS[_GAUSS_IDX, 1] = _WGAUSS
 
 _DEFAULT_TOL = 1e-10
 _DEFAULT_LIMIT = 4096
@@ -90,6 +98,9 @@ _DE_LEVELS = 16
 # two levels cannot agree closer than the rounding of their sums, a few ulp
 # of the integral of |f|
 _DE_ROUNDING = 8.0 * _EPS
+# a batched exp-sinh call takes its rows this many at a time, so its level
+# arrays stay (_DE_ROWS, nodes) whatever the size of the batch
+_DE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -153,18 +164,20 @@ def _fsum(values):
     return total
 
 
-def _panel(fvec, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _NODES
-    y = fvec(x)
-    if not np.all(np.isfinite(np.real(y))) or not np.all(np.isfinite(np.imag(y))):
-        bad = x[~(np.isfinite(np.real(y)) & np.isfinite(np.imag(y)))]
+def _panels(fvec, lo, hi) -> tuple:
+    """Kronrod values and |Kronrod - Gauss| error estimates of the panels
+    [lo_k, hi_k], lists, from one call of fvec on all their nodes and one
+    matrix product for both sums."""
+    half = 0.5 * (np.asarray(hi) - np.asarray(lo))
+    mid = 0.5 * (np.asarray(lo) + np.asarray(hi))
+    x = mid[:, None] + half[:, None] * _NODES
+    y = fvec(x.ravel()).reshape(x.shape)
+    finite = np.isfinite(np.real(y)) & np.isfinite(np.imag(y))
+    if not finite.all():
         raise NonFiniteIntegrandError(
-            f"integrand returned a non-finite value near x={bad.flat[0]:.6g}")
-    ik = half * np.sum(_WK * y)
-    ig = half * np.sum(_WGAUSS * y[_GAUSS_IDX])
-    return ik, abs(ik - ig)
+            f"integrand returned a non-finite value near x={x[~finite][0]:.6g}")
+    sums = (y @ _WEIGHTS) * half[:, None]
+    return sums[:, 0].tolist(), np.abs(sums[:, 0] - sums[:, 1]).tolist()
 
 
 def _adaptive(fvec, a: float, b: float, tol: float, limit: int,
@@ -180,14 +193,13 @@ def _adaptive(fvec, a: float, b: float, tol: float, limit: int,
 
     segments = {}
     heap = []
-    counter = 0
-    evaluations = 0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        val, err = _panel(fvec, lo, hi)
-        evaluations += _NODES.size
+    # the initial layout is one call of the integrand
+    for counter, (lo, hi, val, err) in enumerate(zip(
+            breaks[:-1], breaks[1:], *_panels(fvec, breaks[:-1], breaks[1:]))):
         segments[counter] = (lo, hi, val, err)
         heapq.heappush(heap, (-err, counter))
-        counter += 1
+    counter = len(segments)
+    evaluations = counter * _NODES.size
 
     min_width = max(abs(a), abs(b), 1.0) * 1e-15
 
@@ -218,13 +230,14 @@ def _adaptive(fvec, a: float, b: float, tol: float, limit: int,
                 evaluations=evaluations)
         del segments[key]
         mid = 0.5 * (lo + hi)
-        for sub in ((lo, mid), (mid, hi)):
-            val, err = _panel(fvec, *sub)
-            evaluations += _NODES.size
-            segments[counter] = (sub[0], sub[1], val, err)
+        # both halves in one call of the integrand
+        for sub_lo, sub_hi, val, err in zip(
+                (lo, mid), (mid, hi), *_panels(fvec, (lo, mid), (mid, hi))):
+            segments[counter] = (sub_lo, sub_hi, val, err)
             heapq.heappush(heap, (-err, counter))
             counter += 1
             err_run += err
+        evaluations += 2 * _NODES.size
         err_run -= old_err
 
 
@@ -252,16 +265,19 @@ def integrate_semi_infinite(f: Callable, decay: float = 1.0,
     intervals; slower (polynomial) decay still converges through
     subdivision toward u = 1 as long as the integral exists.
 
-    rule="exp-sinh" (f analytic on (0, inf), finite at every node):
-    the double-exponential rule, one array call of f per level; integrable
-    algebraic singularities at 0 are admissible, `limit` does not apply.
+    rule="exp-sinh" (f analytic on (0, inf), array-native, finite at every
+    node): the double-exponential rule, one array call of f per level;
+    integrable algebraic singularities at 0 are admissible, `limit` does not
+    apply.  decay may be a 1-D array: one integral per entry, f called as
+    f(u, rows) with u of shape (rows, n), and the value the array of the
+    integrals (see _exp_sinh).
     """
-    if decay <= 0:
-        raise DomainError("decay hint must be > 0")
     if rule == "exp-sinh":
         return _exp_sinh(f, decay, tol)
     if rule != "gauss-kronrod":
         raise DomainError(f"unknown quadrature rule {rule!r}")
+    if decay <= 0:
+        raise DomainError("decay hint must be > 0")
     L = 1.0 / float(decay)
     fvec = as_array_fn(f)
 
@@ -293,7 +309,7 @@ def integrate_real_line(f: Callable, decay: float = 1.0,
     return QuadratureResult(res.value, res.error_estimate, 2 * res.evaluations)
 
 
-def _exp_sinh(f: Callable, decay: float, tol: float) -> QuadratureResult:
+def _exp_sinh(f: Callable, decay, tol: float) -> QuadratureResult:
     """The exp-sinh rule (Takahasi-Mori 1974) over (0, inf) for f analytic
     on (0, inf).
 
@@ -306,51 +322,113 @@ def _exp_sinh(f: Callable, decay: float, tol: float) -> QuadratureResult:
     is the first level, from the third on, that agrees with the one before
     to tol, or to a few ulp of the integral of |f| where that is larger;
     QuadratureError carries the last level if none does by h = 2^-16.
+
+    A 1-D array decay gives one integral per entry (a row): f is then
+    called as f(u, rows), u of shape (len(rows), n) for the index array
+    `rows` of the entries still running, and returns their values in that
+    shape.  Each row keeps its own rounding floor, stop test and end-term
+    error, and stops being evaluated once it has stopped; the rows share the
+    tau nodes of the union of their trimmed windows, and the levels go on
+    until every row has stopped.  The value is the array of the rows'
+    integrals and the error estimate the worst row's; QuadratureError
+    carries the whole array.  Rows go through _DE_ROWS at a time.  A scalar
+    decay is the one-row case with f(u) on a 1-D u.  f is called directly,
+    not through as_array_fn, with floating-point warnings ignored.
     """
     if tol <= 0:
         raise DomainError("tolerance must be > 0")
-    L = 1.0 / float(decay)
-    fvec = as_array_fn(f)
+    batch = np.ndim(decay) > 0
+    if batch:
+        decay = np.asarray(decay, dtype=float)
+        if decay.ndim > 1 or not (decay > 0).all():
+            raise DomainError("decay hints must be > 0, in a 1-D array")
+    elif not decay > 0:
+        raise DomainError("decay hint must be > 0")
+    # floating-point warnings are ignored, as as_array_fn does
+    with np.errstate(all="ignore"):
+        parts = ([_exp_sinh_rows(f, 1.0 / decay[k:k + _DE_ROWS], tol, k)
+                  for k in range(0, decay.size, _DE_ROWS)] if batch else
+                 [_exp_sinh_rows(lambda u, rows: f(u), 1.0 / decay, tol)])
+    values, errors, converged = ([x for part in parts for x in part[i]]
+                                 for i in range(3))
+    evaluations = sum(part[3] for part in parts)
+    value = np.asarray(values) if batch else values[0]
+    error = max(errors)
+    if not all(converged):
+        raise QuadratureError(
+            f"exp-sinh levels did not agree by step 2^-{_DE_LEVELS - 1}: "
+            f"difference {error:.3e} > {tol:.3e}",
+            value=value, error_estimate=error, evaluations=evaluations)
+    return QuadratureResult(value, error, evaluations)
+
+
+def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
+    """The levels of _exp_sinh for map scales `scales`: a 1-D array of rows,
+    the entries start, start + 1, ... of the batch, for which f is called as
+    f(u, rows) with u of shape (rows, n) and the index array of the rows
+    still running; or one float, for which u is 1-D.  Returns the rows'
+    values, error estimates and convergence flags as lists, and the count
+    of evaluations."""
+    live = list(range(np.size(scales)))  # the rows still running
+    rows = np.arange(start, start + len(live))
+    column = scales[:, None] if np.ndim(scales) else scales
 
     def terms(tau: np.ndarray) -> np.ndarray:
-        u = L * np.exp(0.5 * math.pi * np.sinh(tau))
-        y = fvec(u)
-        if not np.isfinite(y).all():
-            bad = u[~np.isfinite(y)]
+        u = column * np.exp(0.5 * math.pi * np.sinh(tau))
+        # one row per running row, also when u is 1-D
+        return (f(u, rows) * (u * (0.5 * math.pi * np.cosh(tau)))).reshape(
+            len(live), -1)
+
+    def check(values, tau: np.ndarray) -> None:
+        # a non-finite term makes its row's sum non-finite
+        if not np.isfinite(values).all():
+            u = column * np.exp(0.5 * math.pi * np.sinh(tau))
+            bad = u[~np.isfinite(f(u, rows))]
             raise NonFiniteIntegrandError(
                 f"integrand returned a non-finite value near u={bad[0]:.6g}")
-        return y * (u * (0.5 * math.pi) * np.cosh(tau))
 
     h = 0.5
     lo, hi = _DE_TAU
     tau = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     first = terms(tau)
-    evaluations = tau.size
+    check(first, tau)
+    evaluations = first.size
     size = np.abs(first)
-    tail = h * (size[0] + size[-1])
-    keep = np.flatnonzero(size > _EPS * size.max())
+    tail = [h * (x + y) for x, y in zip(size[:, 0].tolist(), size[:, -1].tolist())]
+    # the union of the rows' windows: the nodes where some row's term
+    # exceeds eps times its largest, plus one node on each side
+    keep = np.flatnonzero(
+        (size > _EPS * size.max(axis=1, keepdims=True)).any(axis=0))
     i, j = (max(keep[0] - 1, 0), min(keep[-1] + 1, tau.size - 1)) \
         if keep.size else (0, tau.size - 1)
     a = tau[i]
-    total = h * np.sum(first[i:j + 1])
-    # the first level's integral of |f| sets the rounding floor
-    floor = float(_DE_ROUNDING * h * np.sum(size[i:j + 1]))
-    stop = max(tol, floor)
+    total = (h * first[:, i:j + 1].sum(axis=1)).tolist()
+    # the first level's integral of |f| sets each row's rounding floor
+    floor = (_DE_ROUNDING * h * size[:, i:j + 1].sum(axis=1)).tolist()
+    stop = [max(tol, x) for x in floor]
+    error = [math.inf] * len(live)
     count = int(j - i)  # intervals of width h in [a, tau[j]]
     for level in range(1, _DE_LEVELS):
         h *= 0.5
-        new = terms(a + h * (2.0 * np.arange(count) + 1.0))
-        evaluations += count
+        nodes = a + h * np.arange(1.0, 2 * count, 2.0)
+        new = terms(nodes).sum(axis=1)
+        check(new, nodes)
+        evaluations += len(live) * count
         count *= 2
-        previous, total = total, 0.5 * total + h * np.sum(new)
-        error = float(abs(total - previous) + tail)
-        if level >= 2 and error <= stop:
-            return QuadratureResult(total.item(), max(error, floor), evaluations)
-    raise QuadratureError(
-        f"exp-sinh levels did not agree: difference {error:.3e} > "
-        f"{stop:.3e} at step {h:g}",
-        value=total.item(), error_estimate=max(error, floor),
-        evaluations=evaluations)
+        going = []
+        for k, (r, part) in enumerate(zip(live, new.tolist())):
+            previous, total[r] = total[r], 0.5 * total[r] + h * part
+            error[r] = abs(total[r] - previous) + tail[r]
+            if level < 2 or error[r] > stop[r]:
+                going.append(k)
+        if not going:
+            break
+        if len(going) < len(live):
+            live = [live[k] for k in going]
+            rows, column = rows[going], column[going]
+    converged = [e <= s for e, s in zip(error, stop)]
+    return total, [max(e, x) for e, x in zip(error, floor)], converged, \
+        evaluations
 
 
 def log_gamma(s):

@@ -8,7 +8,9 @@ with the hyperbolic trace summed over the length spectrum, the elliptic
 trace summed over cone orders (two equivalent integral representations),
 and the identity contribution proportional to the plane kernel on the
 diagonal.  The degenerating trace DTr is the elliptic trace restricted to
-the cones being opened into cusps.
+the cones being opened into cusps.  HTr, ETr, the identity term and Str take
+a scalar t, giving a float, or an array of t, giving one value per entry
+from one batched call of each term.
 
 Every hyperbolic term, of the heat trace, of the geometric side and of the
 Selberg routes, is geodesic_sum: the (geodesic, n) sum of
@@ -36,6 +38,7 @@ from .counting import ScatteringModel
 from .errors import (AdmissibilityError, AlphaCollisionError, DomainError,
                      InvariantViolation)
 from .geometry import SurfaceData
+# unused here: bench/tracing.py wraps heat_kernel_h at this binding
 from .hplane import heat_kernel_h
 from .special_fn import as_array_fn, digamma, integrate_semi_infinite
 
@@ -114,19 +117,42 @@ def fermi_weight(beta: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def identity_trace(vol: float, t: float, tol: float = 1e-12) -> float:
-    """Identity contribution vol * e^{-t/4}/(4t) * int_0^inf e^{-t r^2} sech^2(pi r) dr."""
+def _times(t) -> tuple:
+    """Times t > 0 as the rows of one batched exp-sinh call: (flat, col),
+    flat the 0-d array of a scalar t or the flattened array, col the same
+    values as a row parameter (flat[:, None] for an array), which a batched
+    integrand reads as col[rows] and a scalar one as col[...]."""
+    flat = np.asarray(t, dtype=float)
+    if not (flat > 0 if flat.ndim == 0 else (flat > 0).all()):
+        raise DomainError(f"time must be > 0, got {t}")
+    if flat.ndim == 0:
+        return flat, flat
+    flat = flat.reshape(-1)
+    return flat, flat[:, None]
+
+
+def _shaped(values, t):
+    """Per-row values in the shape of t: a float for a scalar t."""
+    return float(values) if np.ndim(t) == 0 else np.reshape(values, np.shape(t))
+
+
+def identity_trace(vol: float, t, tol: float = 1e-12):
+    """Identity contribution vol * e^{-t/4}/(4t) * int_0^inf e^{-t r^2} sech^2(pi r) dr.
+
+    t may be an array: one value per entry from one batched exp-sinh call,
+    in the shape of t; a scalar t gives a float."""
     if not vol > 0:
         raise DomainError(f"volume must be > 0, got {vol}")
-    if not t > 0:
-        raise DomainError(f"time must be > 0, got {t}")
+    flat, col = _times(t)
+    minus_t = -col
 
-    def integrand(r: np.ndarray):
-        return np.exp(-t * r * r) / np.cosh(math.pi * r) ** 2
+    def integrand(r: np.ndarray, rows=...):
+        return np.exp(r * r * minus_t[rows]) / np.cosh(math.pi * r) ** 2
 
-    res = integrate_semi_infinite(integrand, decay=max(t, 1.0), tol=tol,
-                                  rule="exp-sinh")
-    return vol * math.exp(-t / 4.0) / (4.0 * t) * float(np.real(res.value))
+    res = integrate_semi_infinite(integrand, decay=np.maximum(flat, 1.0),
+                                  tol=tol, rule="exp-sinh")
+    return _shaped(vol * np.exp(-flat / 4.0) / (4.0 * flat)
+                   * np.real(res.value), t)
 
 
 def _normalize_spectrum(spectrum):
@@ -191,13 +217,13 @@ def hyperbolic_sum_reduced(spectrum, t):
     return float(total) if tt.ndim == 0 else total
 
 
-def hyperbolic_trace(spectrum, t: float) -> float:
+def hyperbolic_trace(spectrum, t):
     """Hyperbolic trace e^{-t/4}/sqrt(16 pi t) * sum over (geodesic, n) of
-    l/sinh(n l/2) e^{-(n l)^2/4t}, summed by geodesic_sum; scalar t."""
-    if not t > 0:
-        raise DomainError(f"time must be > 0, got {t}")
-    return (math.exp(-t / 4.0) / math.sqrt(16.0 * math.pi * t)
-            * hyperbolic_sum_reduced(spectrum, t))
+    l/sinh(n l/2) e^{-(n l)^2/4t}, summed by geodesic_sum.  t may be an
+    array, giving one value per entry; a scalar t gives a float."""
+    total = hyperbolic_sum_reduced(spectrum, t)  # checks t > 0
+    tt = np.asarray(t, dtype=float)
+    return _shaped(np.exp(-0.25 * tt) / np.sqrt(16.0 * math.pi * tt) * total, t)
 
 
 # E(y) = (y coth y - 1)/y^2 below _CF_BELOW: Lambert's continued fraction
@@ -205,51 +231,88 @@ def hyperbolic_trace(spectrum, t: float) -> float:
 # which leaves at most 1.1e-16 relative (at y = 1); above it the direct form,
 # whose cancellation costs at most a few ulp.
 _CF_BELOW = 1.0
-_CF_DENOMINATORS = (13.0, 11.0, 9.0, 7.0, 5.0, 3.0)
+_CF_DENOMINATORS = (13.0, 11.0, 9.0, 7.0, 5.0)  # then 3, the last step
 
 
-def _coth_excess(y: np.ndarray) -> np.ndarray:
-    """E(y) = (y coth y - 1)/y^2 for y > 0, elementwise, free of cancellation."""
+def _coth_excess(y: np.ndarray, minus_third: bool = False) -> np.ndarray:
+    """E(y) = (y coth y - 1)/y^2 for y > 0, elementwise, free of cancellation;
+    with minus_third, E(y) - 1/3, which the continued fraction gives as
+    -y^2/(3 D acc) for E = 1/D, D = 3 + y^2/acc."""
     below = y < _CF_BELOW
     n_below = np.count_nonzero(below)
     if n_below < y.size:
         ya = np.maximum(y, _CF_BELOW)  # keeps y -> 0, where it is unused, out
         direct = (ya / np.tanh(ya) - 1.0) / (ya * ya)
+        if minus_third:
+            direct -= 1.0 / 3.0
         if n_below == 0:
             return direct
     y2 = y * y
-    # 1/(3 + y^2/(5 + ... y^2/(15 + y^2/17))), from the bottom up
+    # acc = 5 + y^2/(7 + ... y^2/(15 + y^2/17)), from the bottom up
     acc = 15.0 + y2 / 17.0
     for c in _CF_DENOMINATORS:
         np.divide(y2, acc, out=acc)
         acc += c
-    np.divide(1.0, acc, out=acc)
+    if minus_third:
+        out = y2 / (-3.0 * (3.0 + y2 / acc) * acc)
+    else:
+        np.divide(y2, acc, out=acc)
+        acc += 3.0
+        out = np.divide(1.0, acc, out=acc)
     if n_below < y.size:
-        np.copyto(acc, direct, where=~below)
-    return acc
+        np.copyto(out, direct, where=~below)
+    return out
 
 
-def _cone_series(orders) -> Callable:
+# coefficients 1/(2k+3)! of (sinh x - x)/x^3 = sum_k x^{2k}/(2k+3)!, k <= 8,
+# highest first; below x = 1 the next term is under 5e-17 of the sum
+_SINH_SERIES = tuple(1.0 / math.factorial(2 * k + 3) for k in range(8, -1, -1))
+
+
+def _x_over_sinh_minus_one(x: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """x/sinh x - 1 for x > 0, given ratio = x/sinh x: below x = 1 as
+    -(sinh x - x)/sinh x through the series of sinh x - x, free of
+    cancellation; above it ratio - 1, which loses at most 3 bits."""
+    x2 = x * x
+    series = np.zeros_like(x)
+    for c in _SINH_SERIES:
+        series = series * x2 + c
+    return np.where(x < 1.0, -(series * x2 * x) / np.sinh(np.minimum(x, 1.0)),
+                    ratio - 1.0)
+
+
+def _cone_series(orders, minus_f0: bool = False) -> Callable:
     """u -> cosh(u/2) sum_q (1/q) sum_{n<q} 1/(sinh^2(u/2) + sin^2(n pi/q))
     for u > 0, through the closed form of the n-sum (see cone_integral).
+    u may have any shape.
 
     E(qx) for every distinct order q and E(x) are the rows of one matrix, so
-    each step costs one array operation whatever the number of orders."""
+    each step costs one array operation whatever the number of orders.
+
+    With minus_f0, the series minus its limit F(0) = sum (q^2 - 1)/(3q) at
+    u = 0, free of cancellation: with r = x/sinh x and T the weighted sum of
+    E - 1/3, F(u) - F(0) = r T + (r - 1) F(0), both terms <= 0."""
     counts = Counter(orders)
     scales = np.array([*counts, 1.0])[:, None]
     weights = np.array([m * q for q, m in counts.items()]
                        + [-sum(m / q for q, m in counts.items())])
+    f0 = float(weights.sum()) / 3.0 if minus_f0 else 0.0
 
     def series(u: np.ndarray) -> np.ndarray:
         x = 0.5 * u
         # x/sinh x = -2x e^{-x}/expm1(-2x), without overflow for large x
-        return (-2.0 * x * np.exp(-x) / np.expm1(-2.0 * x)) \
-            * (weights @ _coth_excess(scales * x))
+        ratio = -2.0 * x * np.exp(-x) / np.expm1(-2.0 * x)
+        # scales x nodes for 1-D x, rows x scales x nodes for 2-D x; the
+        # weights contract the scales axis either way
+        e = weights @ _coth_excess(scales * x[..., None, :], minus_f0)
+        if minus_f0:
+            return ratio * e + _x_over_sinh_minus_one(x, ratio) * f0
+        return ratio * e
 
     return series
 
 
-def cone_integral(orders, hhat: Callable, decay: float, tol: float) -> float:
+def cone_integral(orders, hhat: Callable, decay, tol: float):
     """Elliptic term of the trace formula for the cone orders, as one
     u-integral: (1/2) int_0^inf hhat(u) F(u) du with F = _cone_series(orders),
     to absolute tolerance tol.
@@ -283,19 +346,25 @@ def cone_integral(orders, hhat: Callable, decay: float, tol: float) -> float:
     hhat F, whose cost does not grow with the orders and grows only slowly with q as the poles
     close in on u = 0 (the Gaussian of ETr takes 169-360 nodes for
     q <= 1000 and 712-775 at q = 1e7).
+
+    A 1-D array of decay rates makes one batched call, one integral per
+    entry: hhat is then called as hhat(u, rows) with u of shape (rows, n)
+    (see integrate_semi_infinite), and the result is the array of the
+    entries' terms.  A scalar decay gives a float.
     """
     orders = [int(q) for q in orders]
     if not orders:
-        return 0.0
+        return np.zeros(np.shape(decay)) if np.ndim(decay) else 0.0
     if min(orders) < 2:
         raise DomainError(f"cone order must be >= 2, got {min(orders)}")
     series = _cone_series(orders)
-    res = integrate_semi_infinite(lambda u: hhat(u) * series(u),
+    res = integrate_semi_infinite(lambda u, *rows: hhat(u, *rows) * series(u),
                                   decay=decay, tol=2.0 * tol, rule="exp-sinh")
-    return 0.5 * float(np.real(res.value))
+    value = 0.5 * np.real(res.value)
+    return value if np.ndim(decay) else float(value)
 
 
-def elliptic_trace_u(orders, t: float, tol: float = 1e-12) -> float:
+def elliptic_trace_u(orders, t, tol: float = 1e-12):
     """Elliptic trace in its u-integral form:
     e^{-t/4}/sqrt(16 pi t) * sum_q sum_{n<q} (1/q)
     int_0^inf e^{-u^2/4t} cosh(u/2)/(sinh^2(u/2) + sin^2(n pi/q)) du,
@@ -303,15 +372,17 @@ def elliptic_trace_u(orders, t: float, tol: float = 1e-12) -> float:
     that is e^{-t/4} times cone_integral of the Gaussian
     hhat(u) = e^{-u^2/4t}/sqrt(4 pi t), the transform of h(r) = e^{-t r^2}:
     one exp-sinh quadrature whatever the orders.  The map scale follows the
-    Gaussian's width sqrt(4t) down to any t > 0.
+    Gaussian's width sqrt(4t) down to any t > 0.  t may be an array: one
+    value per entry, in the shape of t, from one batched exp-sinh call whose
+    rows are the entries; a scalar t gives a float.
     """
-    if not t > 0:
-        raise DomainError(f"time must be > 0, got {t}")
-    quarter = 1.0 / (4.0 * t)
-    norm = 1.0 / math.sqrt(4.0 * math.pi * t)
-    rate = max(0.5 / math.sqrt(t), 0.5)  # u-scale ~ sqrt(4t)
-    return math.exp(-t / 4.0) * cone_integral(
-        orders, lambda u: norm * np.exp(-u * u * quarter), rate, tol)
+    flat, col = _times(t)
+    minus_quarter = -0.25 / col
+    norm = 1.0 / np.sqrt(4.0 * math.pi * col)
+    rate = np.maximum(0.5 / np.sqrt(flat), 0.5)  # u-scale ~ sqrt(4t)
+    return _shaped(np.exp(-flat / 4.0) * cone_integral(
+        orders, lambda u, rows=...: norm[rows] * np.exp(u * u * minus_quarter[rows]),
+        rate, tol), t)
 
 
 def elliptic_trace_r(orders, t: float, tol: float = 1e-12) -> float:
@@ -342,11 +413,13 @@ def degenerating_trace(surface: SurfaceData, t: float, tol: float = 1e-12) -> fl
     return elliptic_trace_u(surface.degenerating_orders, t, tol)
 
 
-def standard_trace(surface: SurfaceData, t: float, tol: float = 1e-12) -> float:
-    """Regularized heat trace HTr + ETr + vol * K(t, 0)."""
+def standard_trace(surface: SurfaceData, t, tol: float = 1e-12):
+    """Regularized heat trace HTr + ETr + vol * K(t, 0), the last term taken
+    as identity_trace.  t may be an array, giving one value per entry from
+    one batched call of each term; a scalar t gives a float."""
     return (hyperbolic_trace(surface.length_spectrum, t)
             + elliptic_trace_u(surface.elliptic_orders, t, tol)
-            + surface.volume * heat_kernel_h(t, 0.0, tol))
+            + identity_trace(surface.volume, t, tol))
 
 
 def _check_alpha(surface: SurfaceData, alpha: float, *,

@@ -2,7 +2,7 @@
 
 Oracles: the large-q slope of the counting sum, c_0(T) = sqrt(T - 1/4)/pi;
 direct library calls for the trace and selberg tables; the mpmath
-r-integrals and Selberg product of conftest for the zeta and det tables.
+r-integrals and Selberg product of mp_reference for the zeta and det tables.
 """
 
 import json
@@ -10,12 +10,12 @@ import math
 
 import pytest
 
-from conftest import mp_surface_log_det, mp_surface_zeta
 from degenspec import cli
 from degenspec.geometry import SurfaceData, save_surface
 from degenspec.selberg import selberg_logderiv_series
 from degenspec.traces import elliptic_trace_u, hyperbolic_trace, identity_trace
 from degenspec.zeta_det import surface_log_det, surface_zeta
+from mp_reference import mp_surface_log_det, mp_surface_zeta
 
 
 def test_hecke_sweep_slope(capsys):
@@ -53,6 +53,28 @@ def test_trace_matches_direct_calls(compact_surface, tmp_path, capsys):
         ident = identity_trace(compact_surface.volume, t, 1e-12)
         assert values == pytest.approx([htr + etr + ident, htr, etr, dtr],
                                        rel=1e-15)
+
+
+def test_trace_columns_match_the_scalar_route(compact_surface, tmp_path,
+                                              capsys):
+    # each column is one batched call over the grid; row by row it is the
+    # scalar route, removed modes included
+    path = tmp_path / "surface.json"
+    save_surface(compact_surface, path)
+    argv = ["trace", "--surface", str(path), "--t", "log:1e-4:40:23",
+            "--alpha", "0.1", "--tol", "1e-12"]
+    assert cli.main(argv) == cli.EXIT_OK
+    rows = _table(capsys.readouterr().out)[1]
+    assert len(rows) == 23
+    for row in rows:
+        t, *values = (float(v) for v in row)
+        htr = hyperbolic_trace(compact_surface.length_spectrum, t)
+        etr = elliptic_trace_u(compact_surface.elliptic_orders, t, 1e-12)
+        dtr = elliptic_trace_u(compact_surface.degenerating_orders, t, 1e-12)
+        strace = (htr + etr + identity_trace(compact_surface.volume, t, 1e-12)
+                  - math.exp(-0.08 * t) - 1.0)
+        assert values == pytest.approx([strace, htr, etr, dtr], rel=1e-14,
+                                       abs=1e-12)
 
 
 def test_selberg_where_the_integral_diverges(compact_surface, tmp_path,

@@ -9,14 +9,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from degenspec.errors import (DomainError, NonFiniteIntegrandError,
                               QuadratureError)
-from degenspec.special_fn import (KBesselArgs, QuadratureResult, digamma,
-                                  integrate_finite, integrate_real_line,
-                                  integrate_semi_infinite, k_bessel, log_gamma,
-                                  reciprocal_gamma)
+from degenspec.special_fn import (_DE_ROWS, KBesselArgs, QuadratureResult,
+                                  digamma, integrate_finite,
+                                  integrate_real_line, integrate_semi_infinite,
+                                  k_bessel, log_gamma, reciprocal_gamma)
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -155,6 +156,118 @@ class TestIntegrateExpSinh:
         assert a.value == b.value
         assert a.error_estimate == b.error_estimate
         assert a.evaluations == b.evaluations
+
+
+def _gamma_rows(a, b):
+    """The batched integrand u^{b_k} e^{-a_k u}, one row per k."""
+    a, b = np.asarray(a)[:, None], np.asarray(b)[:, None]
+    return lambda u, rows: u ** b[rows] * np.exp(-a[rows] * u)
+
+
+class TestExpSinhBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(-0.5, 3.0)),
+                    min_size=1, max_size=9))
+    def test_rows_equal_the_scalar_calls(self, params):
+        a, b = zip(*params)
+        batch = integrate_exp_sinh(_gamma_rows(a, b), decay=np.array(a),
+                                   tol=1e-12)
+        assert batch.value.shape == (len(a),)
+        for k, (ak, bk) in enumerate(params):
+            one = integrate_exp_sinh(lambda u: u ** bk * np.exp(-ak * u),
+                                     decay=ak, tol=1e-12)
+            assert batch.value[k] == pytest.approx(one.value, rel=1e-15)
+            # Gamma(b + 1)/a^{b + 1}
+            exact = math.exp(math.lgamma(bk + 1.0) - (bk + 1.0) * math.log(ak))
+            assert abs(batch.value[k] - exact) <= 1e-12 + 1e-13 * exact
+
+    def test_rows_beyond_one_chunk(self):
+        n = 2 * _DE_ROWS + 5
+        a = np.geomspace(0.01, 100.0, n)
+        seen = []
+
+        def f(u, rows):
+            seen.append(len(rows))
+            return np.exp(-a[rows, None] * u)
+
+        res = integrate_exp_sinh(f, decay=a, tol=1e-12)
+        assert max(seen) <= _DE_ROWS
+        assert np.allclose(res.value * a, 1.0, rtol=1e-14, atol=0.0)
+
+    def test_one_row_that_does_not_converge_raises_with_the_batch(self):
+        # the middle row's levels never agree to 1e-14; its neighbours do
+        def f(u, rows):
+            out = np.exp(-u) * np.ones((len(rows), 1))
+            middle = np.flatnonzero(rows == 1)
+            out[middle] = np.sin(50.0 * u[middle]) * np.exp(-0.01 * u[middle])
+            return out
+
+        with pytest.raises(QuadratureError) as err:
+            integrate_exp_sinh(f, decay=np.array([1.0, 0.01, 1.0]), tol=1e-14)
+        exc = err.value
+        assert exc.value.shape == (3,)
+        assert exc.value[[0, 2]] == pytest.approx([1.0, 1.0], rel=1e-15)
+        assert math.isfinite(exc.value[1])
+        assert exc.error_estimate > 1e-14 and exc.evaluations > 0
+
+    def test_shape_contract(self):
+        one = integrate_exp_sinh(lambda u: np.exp(-u), decay=1.0, tol=1e-12)
+        assert isinstance(one.value, float)
+        rows = integrate_exp_sinh(lambda u, rows: np.exp(-u), decay=[1.0],
+                                  tol=1e-12)
+        assert isinstance(rows.value, np.ndarray) and rows.value.shape == (1,)
+        assert rows.value[0] == one.value
+        with pytest.raises(DomainError):
+            integrate_exp_sinh(lambda u, rows: np.exp(-u),
+                               decay=np.ones((2, 2)))
+        with pytest.raises(DomainError):
+            integrate_exp_sinh(lambda u, rows: np.exp(-u),
+                               decay=np.array([1.0, 0.0]))
+
+    def test_non_finite_row_rejected(self):
+        def f(u, rows):
+            return np.where(rows[:, None] == 1, np.nan, np.exp(-u))
+
+        with pytest.raises(NonFiniteIntegrandError):
+            integrate_exp_sinh(f, decay=np.ones(3))
+
+
+# the parent engine's values and evaluation counts, one panel per call: both
+# halves of a bisection in one integrand call must give the same ones
+PANEL_BY_PANEL = [
+    ("semi", "np.exp(-t)", {"decay": 1.0, "tol": 1e-12}, 1.0, 225),
+    ("semi", "1.0 / np.cosh(np.pi * t) ** 2", {"decay": 1.0, "tol": 1e-12},
+     0.3183098861837907, 165),
+    ("semi", "1.0 / (1.0 + t * t) ** 2", {"decay": 1.0, "tol": 1e-11},
+     0.7853981633974482, 135),
+    ("semi", "np.exp(-1.3 * t) * np.cos(t)", {"decay": 1.3, "tol": 1e-12},
+     0.483271375464684, 345),
+    ("fin", "np.sqrt(1.0 - t * t)", (-1.0, 1.0, 1e-10), 1.57079632679924, 975),
+    ("fin", "np.exp(-t * t)", (-2.0, 2.0, 1e-12), 1.7641627815248435, 135),
+    ("fin", "t ** -0.5", (0.0, 1.0, 5e-7), 1.9999997535742662, 1065),
+    ("fin", "np.sqrt(np.abs(t))", (-1.0, 2.0, 1e-11), 2.5522847498327526, 915),
+]
+
+
+@pytest.mark.parametrize("kind, expr, args, value, evaluations",
+                         PANEL_BY_PANEL)
+def test_paired_panels_keep_the_values_and_counts(kind, expr, args, value,
+                                                  evaluations):
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return eval(expr, {"np": np, "t": t})
+
+    if kind == "semi":
+        res = integrate_semi_infinite(f, **args)
+    else:
+        res = integrate_finite(f, *args)
+    assert res.evaluations == evaluations
+    assert res.value == pytest.approx(value, rel=4e-16)
+    # the initial layout is one call, each bisection one more
+    assert calls[0] == res.evaluations - 30 * (len(calls) - 1)
+    assert set(calls[1:]) <= {30}
 
 
 class TestIntegrateFinite:

@@ -10,6 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from degenspec.counting import ScatteringModel
@@ -169,6 +170,20 @@ class TestEllipticTraces:
         got = _cone_series((q,))(u)
         with mp.workdps(50):
             want = np.array([float(self._mp_series(q, float(v))) for v in u])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("q", [2, 7, 1000, 10 ** 6])
+    def test_excess_over_the_limit_is_cancellation_free(self, q):
+        # F(u) - F(0) ~ -q^3 u^2/180 for u << 1/q, where F(u) - F(0) taken
+        # directly is all rounding noise of F(0) ~ q/3
+        u = np.concatenate([np.geomspace(1e-12, 60.0, 120),
+                            np.outer([2.0 / q, 2.0], [1 - 1e-12, 1.0, 1 + 1e-12]).ravel()])
+        got = _cone_series((q,), minus_f0=True)(u)
+        # the closed form cancels ~2 log10(1/u) digits, F(0) as many again
+        with mp.workdps(100):
+            f0 = mp.mpf(q * q - 1) / (3 * q)
+            want = np.array([float(self._mp_series(q, float(v)) - f0)
+                             for v in u])
         assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("q", [2, 3, 7, 50])
@@ -532,3 +547,58 @@ class TestFermiWeight:
     def test_overflow_free(self):
         vals = fermi_weight(0.9, np.array([-500.0, 500.0]))
         assert np.all(np.isfinite(vals))
+
+
+class TestBatchedTimes:
+    """An array of t is one batched call per term; each entry equals the
+    scalar call."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(1e-16, 1e3), min_size=1, max_size=8),
+           st.lists(st.sampled_from([2, 3, 7, 50, 1000, 10 ** 5, 10 ** 7]),
+                    min_size=1, max_size=3))
+    def test_elliptic_rows_equal_the_scalar_calls(self, times, orders):
+        batch = elliptic_trace_u(orders, np.array(times))
+        for t, value in zip(times, batch):
+            assert value == pytest.approx(elliptic_trace_u(orders, t),
+                                          rel=1e-15, abs=1e-300)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(1e-16, 1e3), min_size=1, max_size=8))
+    def test_identity_and_hyperbolic_rows_equal_the_scalar_calls(self, times):
+        spectrum = ((1.0, 1), (1.5, 2))
+        ident = identity_trace(4.0 * math.pi, np.array(times))
+        htr = hyperbolic_trace(spectrum, np.array(times))
+        for t, a, b in zip(times, ident, htr):
+            assert a == pytest.approx(identity_trace(4.0 * math.pi, t),
+                                      rel=1e-15)
+            assert b == pytest.approx(hyperbolic_trace(spectrum, t),
+                                      rel=1e-15, abs=1e-300)
+
+    def test_standard_rows_equal_the_scalar_calls(self, compact_surface):
+        times = np.geomspace(1e-4, 30.0, 40)
+        batch = standard_trace(compact_surface, times)
+        assert batch == pytest.approx(
+            [standard_trace(compact_surface, t) for t in times], rel=1e-15)
+
+    @pytest.mark.parametrize("fn", [
+        lambda t: elliptic_trace_u((2, 3), t),
+        lambda t: identity_trace(2.0, t),
+        lambda t: hyperbolic_trace(((1.0, 1),), t),
+        lambda t: standard_trace(SurfaceData(genus=2, num_cusps=0,
+                                             elliptic_orders=(2, 3)), t),
+    ])
+    def test_shape_contract(self, fn):
+        assert isinstance(fn(0.5), float)
+        assert isinstance(fn(np.float64(0.5)), float)
+        assert isinstance(fn(np.array(0.5)), float)
+        grid = np.geomspace(0.01, 5.0, 6).reshape(2, 3)
+        values = fn(grid)
+        assert isinstance(values, np.ndarray) and values.shape == (2, 3)
+        assert values[1, 2] == pytest.approx(fn(float(grid[1, 2])), rel=1e-15)
+        with pytest.raises(DomainError):
+            fn(np.array([0.5, 0.0]))
+
+    def test_empty_orders_give_zeros(self):
+        assert np.array_equal(elliptic_trace_u((), np.array([0.1, 1.0])),
+                              [0.0, 0.0])

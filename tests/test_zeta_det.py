@@ -3,7 +3,7 @@
 Oracles: Riemann zeta via scipy.special.zeta (the circle spectrum is
 2 zeta_R(2s) with zeta_R'(0) = -log(2 pi)/... giving det = 4 pi^2), finite
 Dirichlet sums, cross-representation identities, and for the surface terms
-the mpmath r-integrals and Selberg product of conftest.
+the mpmath r-integrals and Selberg product of mp_reference.
 """
 
 import math
@@ -15,17 +15,13 @@ import numpy as np
 import pytest
 from scipy.special import zeta as riemann_zeta
 
-from conftest import (circle_theta, finite_model_trace, mp_elliptic_zeta,
-                      mp_hyperbolic_zeta, mp_identity_zeta,
-                      mp_identity_zeta_prime_zero, mp_log_selberg_one,
-                      mp_surface_zeta)
 from degenspec import zeta_det
 from degenspec.errors import (AlphaCollisionError, DivergenceError,
                               DomainError, ExpansionMismatchError, FitError,
                               InsufficientSubtractionsError, PoleError,
                               StripViolationError)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
-from degenspec.special_fn import as_array_fn
+from degenspec.special_fn import as_array_fn, integrate_semi_infinite
 from degenspec.traces import elliptic_trace_u, standard_trace
 from degenspec.zeta_det import (HeatCoefficients, ZetaEvaluation,
                                 degeneration_subtraction_zeta, det_laplacian,
@@ -34,6 +30,10 @@ from degenspec.zeta_det import (HeatCoefficients, ZetaEvaluation,
                                 mellin_regularized_integral,
                                 spectral_zeta_mellin, spectral_zeta_series,
                                 surface_log_det, surface_zeta, truncated_zeta)
+from mp_reference import (circle_theta, finite_model_trace, mp_elliptic_zeta,
+                          mp_hyperbolic_zeta, mp_identity_zeta,
+                          mp_identity_zeta_prime_zero, mp_log_selberg_one,
+                          mp_surface_zeta)
 
 SQRT_PI = math.sqrt(math.pi)
 CIRCLE_COEFFS = [(-0.5, SQRT_PI)]
@@ -402,6 +402,40 @@ class TestSurfaceTermByTerm:
         law = (q / 6.0 * math.log(q) - 2.0 * q * float(mp.log(mp.glaisher))
                + 0.5 * math.log(q))
         assert abs(-value - law) <= 1e-4
+
+    @pytest.mark.parametrize("q", [10 ** 5, 10 ** 6, 10 ** 7])
+    def test_cone_zeta_prime_zero_reports_a_relative_error(self, q,
+                                                           monkeypatch):
+        # F(u) - F(0) free of cancellation: the rule trims u -> 0, and its
+        # error is no longer the rounding noise eps F(0)/u of the difference
+        seen = []
+
+        def recorder(*args, **kwargs):
+            seen.append(integrate_semi_infinite(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(zeta_det, "integrate_semi_infinite", recorder)
+        zeta_det._cone_zeta_prime_zero((q,), 1e-12)
+        (res,) = seen
+        assert res.error_estimate <= 1e-14 * abs(res.value)
+        assert res.evaluations <= 460
+
+    def test_mellin_panels_are_batched_trace_calls(self, compact_surface,
+                                                   monkeypatch):
+        # each integrand call of the Mellin integral is one ETr call over
+        # all its nodes, never a loop of scalar calls
+        sizes = []
+
+        def recorder(orders, t, tol=1e-12):
+            sizes.append(np.size(t))
+            return elliptic_trace_u(orders, t, tol)
+
+        monkeypatch.setattr(zeta_det, "elliptic_trace_u", recorder)
+        value = surface_zeta(compact_surface, 0.278 + 1.826j, tol=1e-12)
+        monkeypatch.undo()
+        assert value == surface_zeta(compact_surface, 0.278 + 1.826j,
+                                     tol=1e-12)
+        assert sizes[0] == 75 and set(sizes[1:]) == {30}
 
     @pytest.mark.parametrize("s", [0.15 + 0.5j, 1.7 - 2.5j, 2.9 + 4j])
     def test_surface_zeta_against_r_integrals(self, compact_surface, s):

@@ -394,7 +394,8 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
     check(first, tau)
     evaluations = first.size
     size = np.abs(first)
-    tail = [h * (x + y) for x, y in zip(size[:, 0].tolist(), size[:, -1].tolist())]
+    tail = [h * (x + y)
+            for x, y in zip(size[:, 0].tolist(), size[:, -1].tolist())]
     # the union of the rows' windows: the nodes where some row's term
     # exceeds eps times its largest, plus one node on each side
     keep = np.flatnonzero(

@@ -123,7 +123,7 @@ def _times(t) -> tuple:
     values as a row parameter (flat[:, None] for an array), which a batched
     integrand reads as col[rows] and a scalar one as col[...]."""
     flat = np.asarray(t, dtype=float)
-    if not (flat > 0 if flat.ndim == 0 else (flat > 0).all()):
+    if not (flat > 0).all():
         raise DomainError(f"time must be > 0, got {t}")
     if flat.ndim == 0:
         return flat, flat

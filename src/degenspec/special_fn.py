@@ -337,21 +337,23 @@ def _exp_sinh(f: Callable, decay, tol: float) -> QuadratureResult:
     """
     if tol <= 0:
         raise DomainError("tolerance must be > 0")
-    batch = np.ndim(decay) > 0
-    if batch:
-        decay = np.asarray(decay, dtype=float)
-        if decay.ndim > 1 or not (decay > 0).all():
-            raise DomainError("decay hints must be > 0, in a 1-D array")
-    elif not decay > 0:
-        raise DomainError("decay hint must be > 0")
+    decay = np.asarray(decay, dtype=float)
+    if decay.ndim > 1 or not (decay > 0).all():
+        raise DomainError("decay hint must be > 0, a scalar or a 1-D array")
+    batch = decay.ndim == 1
     # floating-point warnings are ignored, as as_array_fn does
     with np.errstate(all="ignore"):
-        parts = ([_exp_sinh_rows(f, 1.0 / decay[k:k + _DE_ROWS], tol, k)
-                  for k in range(0, decay.size, _DE_ROWS)] if batch else
-                 [_exp_sinh_rows(lambda u, rows: f(u), 1.0 / decay, tol)])
-    values, errors, converged = ([x for part in parts for x in part[i]]
-                                 for i in range(3))
-    evaluations = sum(part[3] for part in parts)
+        if not batch:
+            values, errors, converged, evaluations = _exp_sinh_rows(
+                f, 1.0 / decay, tol)
+        else:
+            values, errors, converged, evaluations = [], [], [], 0
+            for k in range(0, decay.size, _DE_ROWS):
+                part = _exp_sinh_rows(f, 1.0 / decay[k:k + _DE_ROWS], tol, k)
+                values += part[0]
+                errors += part[1]
+                converged += part[2]
+                evaluations += part[3]
     value = np.asarray(values) if batch else values[0]
     error = max(errors)
     if not all(converged):
@@ -366,36 +368,35 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
     """The levels of _exp_sinh for map scales `scales`: a 1-D array of rows,
     the entries start, start + 1, ... of the batch, for which f is called as
     f(u, rows) with u of shape (rows, n) and the index array of the rows
-    still running; or one float, for which u is 1-D.  Returns the rows'
-    values, error estimates and convergence flags as lists, and the count
-    of evaluations."""
-    live = list(range(np.size(scales)))  # the rows still running
+    still running; or one number, for which f(u) is called on a 1-D u.
+    Returns the rows' values, error estimates and convergence flags as
+    lists, and the count of evaluations."""
+    batch = isinstance(scales, np.ndarray)
+    live = list(range(len(scales) if batch else 1))  # the rows still running
     rows = np.arange(start, start + len(live))
-    column = scales[:, None] if np.ndim(scales) else scales
+    column = scales[:, None] if batch else scales
 
     def terms(tau: np.ndarray) -> np.ndarray:
         u = column * np.exp(0.5 * math.pi * np.sinh(tau))
+        y = f(u, rows) if batch else f(u)
         # one row per running row, also when u is 1-D
-        return (f(u, rows) * (u * (0.5 * math.pi * np.cosh(tau)))).reshape(
-            len(live), -1)
+        return (y * (u * (0.5 * math.pi * np.cosh(tau)))).reshape(len(live), -1)
 
-    def check(values, tau: np.ndarray) -> None:
-        # a non-finite term makes its row's sum non-finite
-        if not np.isfinite(values).all():
-            u = column * np.exp(0.5 * math.pi * np.sinh(tau))
-            bad = u[~np.isfinite(f(u, rows))]
-            raise NonFiniteIntegrandError(
-                f"integrand returned a non-finite value near u={bad[0]:.6g}")
+    def non_finite(tau: np.ndarray) -> NonFiniteIntegrandError:
+        u = column * np.exp(0.5 * math.pi * np.sinh(tau))
+        bad = u[~np.isfinite(f(u, rows) if batch else f(u))]
+        return NonFiniteIntegrandError(
+            f"integrand returned a non-finite value near u={bad[0]:.6g}")
 
     h = 0.5
     lo, hi = _DE_TAU
     tau = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
     first = terms(tau)
-    check(first, tau)
+    if not np.isfinite(first).all():
+        raise non_finite(tau)
     evaluations = first.size
     size = np.abs(first)
-    tail = [h * (x + y)
-            for x, y in zip(size[:, 0].tolist(), size[:, -1].tolist())]
+    tail = (h * (size[:, 0] + size[:, -1])).tolist()
     # the union of the rows' windows: the nodes where some row's term
     # exceeds eps times its largest, plus one node on each side
     keep = np.flatnonzero(
@@ -413,7 +414,8 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
         h *= 0.5
         nodes = a + h * np.arange(1.0, 2 * count, 2.0)
         new = terms(nodes).sum(axis=1)
-        check(new, nodes)
+        if not np.isfinite(new).all():  # a non-finite term makes its sum so
+            raise non_finite(nodes)
         evaluations += len(live) * count
         count *= 2
         going = []

@@ -119,21 +119,22 @@ def fermi_weight(beta: float, r: np.ndarray) -> np.ndarray:
 
 def _times(t) -> tuple:
     """Times t > 0 as the rows of one batched exp-sinh call: (flat, col),
-    flat the 0-d array of a scalar t or the flattened array, col the same
+    flat the numpy scalar of a scalar t or the flattened array, col the same
     values as a row parameter (flat[:, None] for an array), which a batched
     integrand reads as col[rows] and a scalar one as col[...]."""
     flat = np.asarray(t, dtype=float)
     if not (flat > 0).all():
         raise DomainError(f"time must be > 0, got {t}")
     if flat.ndim == 0:
-        return flat, flat
+        return flat[()], flat[()]
     flat = flat.reshape(-1)
     return flat, flat[:, None]
 
 
 def _shaped(values, t):
     """Per-row values in the shape of t: a float for a scalar t."""
-    return float(values) if np.ndim(t) == 0 else np.reshape(values, np.shape(t))
+    t = np.asarray(t)
+    return float(values) if t.ndim == 0 else np.reshape(values, t.shape)
 
 
 def identity_trace(vol: float, t, tol: float = 1e-12):
@@ -151,8 +152,7 @@ def identity_trace(vol: float, t, tol: float = 1e-12):
 
     res = integrate_semi_infinite(integrand, decay=np.maximum(flat, 1.0),
                                   tol=tol, rule="exp-sinh")
-    return _shaped(vol * np.exp(-flat / 4.0) / (4.0 * flat)
-                   * np.real(res.value), t)
+    return _shaped(vol * np.exp(-flat / 4.0) / (4.0 * flat) * res.value, t)
 
 
 def _normalize_spectrum(spectrum):
@@ -353,15 +353,16 @@ def cone_integral(orders, hhat: Callable, decay, tol: float):
     entries' terms.  A scalar decay gives a float.
     """
     orders = [int(q) for q in orders]
+    batch = np.asarray(decay).ndim > 0
     if not orders:
-        return np.zeros(np.shape(decay)) if np.ndim(decay) else 0.0
+        return np.zeros(np.shape(decay)) if batch else 0.0
     if min(orders) < 2:
         raise DomainError(f"cone order must be >= 2, got {min(orders)}")
     series = _cone_series(orders)
     res = integrate_semi_infinite(lambda u, *rows: hhat(u, *rows) * series(u),
                                   decay=decay, tol=2.0 * tol, rule="exp-sinh")
     value = 0.5 * np.real(res.value)
-    return value if np.ndim(decay) else float(value)
+    return value if batch else float(value)
 
 
 def elliptic_trace_u(orders, t, tol: float = 1e-12):

@@ -251,7 +251,7 @@ def integrate_finite(f: Callable, a: float, b: float, tol: float = _DEFAULT_TOL,
     return _adaptive(as_array_fn(f), float(a), float(b), tol, limit, points)
 
 
-def integrate_semi_infinite(f: Callable, decay: float = 1.0,
+def integrate_semi_infinite(f: Callable, decay: float | np.ndarray = 1.0,
                             tol: float = _DEFAULT_TOL, *,
                             limit: int = _DEFAULT_LIMIT,
                             rule: str = "gauss-kronrod") -> QuadratureResult:
@@ -414,7 +414,8 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
         h *= 0.5
         nodes = a + h * np.arange(1.0, 2 * count, 2.0)
         new = terms(nodes).sum(axis=1)
-        if not np.isfinite(new).all():  # a non-finite term makes its sum so
+        # a non-finite term makes its row's sum non-finite
+        if not np.isfinite(new).all():
             raise non_finite(nodes)
         evaluations += len(live) * count
         count *= 2

@@ -9,8 +9,8 @@ trace summed over cone orders (two equivalent integral representations),
 and the identity contribution proportional to the plane kernel on the
 diagonal.  The degenerating trace DTr is the elliptic trace restricted to
 the cones being opened into cusps.  HTr, ETr, the identity term and Str take
-a scalar t, giving a float, or an array of t, giving one value per entry
-from one batched call of each term.
+a scalar t, giving a float, or an array of t, giving one value per entry;
+HTr, ETr and the identity term are one batched call each.
 
 Every hyperbolic term, of the heat trace, of the geometric side and of the
 Selberg routes, is geodesic_sum: the (geodesic, n) sum of
@@ -38,7 +38,6 @@ from .counting import ScatteringModel
 from .errors import (AdmissibilityError, AlphaCollisionError, DomainError,
                      InvariantViolation)
 from .geometry import SurfaceData
-# unused here: bench/tracing.py wraps heat_kernel_h at this binding
 from .hplane import heat_kernel_h
 from .special_fn import as_array_fn, digamma, integrate_semi_infinite
 
@@ -415,12 +414,14 @@ def degenerating_trace(surface: SurfaceData, t: float, tol: float = 1e-12) -> fl
 
 
 def standard_trace(surface: SurfaceData, t, tol: float = 1e-12):
-    """Regularized heat trace HTr + ETr + vol * K(t, 0), the last term taken
-    as identity_trace.  t may be an array, giving one value per entry from
-    one batched call of each term; a scalar t gives a float."""
+    """Regularized heat trace HTr + ETr + vol * K(t, 0).  t may be an array,
+    giving one value per entry: HTr and ETr from one batched call each,
+    K(t, 0) entry by entry; a scalar t gives a float."""
+    plane = (heat_kernel_h(t, 0.0, tol) if np.ndim(t) == 0 else
+             _shaped([heat_kernel_h(x, 0.0, tol) for x in np.ravel(t)], t))
     return (hyperbolic_trace(surface.length_spectrum, t)
             + elliptic_trace_u(surface.elliptic_orders, t, tol)
-            + identity_trace(surface.volume, t, tol))
+            + surface.volume * plane)
 
 
 def _check_alpha(surface: SurfaceData, alpha: float, *,

@@ -3,12 +3,14 @@
 integrate_semi_infinite(..., rule="exp-sinh") is a double-exponential rule
 (Takahasi-Mori 1974) for integrands known to be analytic on (0, inf): the
 map u = L exp((pi/2) sinh tau), L = 1/decay, and the trapezoid rule in tau,
-with the step halved from 1/2 until two successive levels agree.  Each level
-is one array call of the integrand on that level's new nodes.  It serves the
-cone, plane-kernel and identity integrals, whose integrands are analytic in
-a strip.  An array of decay rates batches a family of such integrals, one
-row per entry (the heat-trace terms at every t of a grid or of a Mellin
-panel): each level is then one call on a (rows, nodes) array.
+with the step halved from 1/2 until two successive levels agree.  The first
+level is one array call of the integrand, the new nodes of levels 1-4 one
+more, and each later level one more; the nodes' abscissae and weights are
+tabulated once per level.  It serves the cone, plane-kernel and identity
+integrals, whose integrands are analytic in a strip.  An array of decay
+rates batches a family of such integrals, one row per entry (the heat-trace
+terms at every t of a grid or of a Mellin panel): each call is then on a
+(rows, nodes) array.
 
 Everything else goes to the adaptive engine: a 7-15 Gauss-Kronrod rule
 driven by worst-interval bisection.  Semi-infinite integrals are mapped onto
@@ -21,9 +23,11 @@ integrand call, and so is each bisection, on the nodes of both halves.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -92,15 +96,20 @@ _EPS = float(np.finfo(float).eps)
 # integrable u^{a-1} at 0 loses at most (2.3e-51)^a/a and e^{-decay u} is
 # e^{-4.5e18} at the top; the step halves from 1/2 down to 2^-_DE_LEVELS,
 # fine enough for the counting sum's Bessel kernel, of period 2 pi/sqrt(T -
-# 1/4), up to T = 3e6 (at T = 1e7 the levels still differ by 4e-9).
+# 1/4), up to T = 3e6 (at T = 1e7 the levels still differ by 4e-9).  Both
+# ends lie on the first level's grid of step 1/2.
 _DE_TAU = (-5.0, 4.0)
 _DE_LEVELS = 16
 # two levels cannot agree closer than the rounding of their sums, a few ulp
 # of the integral of |f|
 _DE_ROUNDING = 8.0 * _EPS
-# a batched exp-sinh call takes its rows this many at a time, so its level
-# arrays stay (_DE_ROWS, nodes) whatever the size of the batch
+# a batched exp-sinh call takes its rows this many at a time, so its arrays
+# stay (_DE_ROWS, nodes) whatever the size of the batch
 _DE_ROWS = 64
+# levels 1.._DE_AHEAD are one integrand call on the union of their nodes
+# (15 per first-level interval), each later level one call: most integrals
+# stop at level 3 or 4 and so take two calls
+_DE_AHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -266,8 +275,8 @@ def integrate_semi_infinite(f: Callable, decay: float | np.ndarray = 1.0,
     subdivision toward u = 1 as long as the integral exists.
 
     rule="exp-sinh" (f analytic on (0, inf), array-native, finite at every
-    node): the double-exponential rule, one array call of f per level;
-    integrable algebraic singularities at 0 are admissible, `limit` does not
+    node): the double-exponential rule, two array calls of f for most
+    integrals (see _exp_sinh); integrable algebraic singularities at 0 are admissible, `limit` does not
     apply.  decay may be a 1-D array: one integral per entry, f called as
     f(u, rows) with u of shape (rows, n), and the value the array of the
     integrals (see _exp_sinh).
@@ -314,26 +323,34 @@ def _exp_sinh(f: Callable, decay, tol: float) -> QuadratureResult:
     on (0, inf).
 
     u = L exp((pi/2) sinh tau) with L = 1/decay, and the trapezoid rule in
-    tau with step h = 1/2, 1/4, ...; each level is one call of f on the new
-    nodes only.  The first level spans the whole tau window and trims it to
-    the nodes whose terms exceed eps times the largest one, plus one node on
-    each side; the window's end terms enter the error estimate, so an
-    integrand that has not died out inside it cannot converge.  The result
-    is the first level, from the third on, that agrees with the one before
-    to tol, or to a few ulp of the integral of |f| where that is larger;
+    tau with step h = 1/2, 1/4, ...; each level adds the nodes halfway
+    between the last level's.  The first level is one call of f on the
+    whole tau window and trims it to the nodes whose terms exceed eps times
+    the largest one, plus one node on each side; the window's end terms
+    enter the error estimate, so an integrand that has not died out inside
+    it cannot converge.  Levels 1 to _DE_AHEAD are then one call of f on all
+    their new nodes in the window (15 per first-level node), and each later
+    level one call on its own; the levels' sums and stop tests still go one
+    level after the other, so the result is that of one call per level.
+    The nodes' abscissae e^{(pi/2) sinh tau} and weights (pi/2) cosh tau
+    are slices of tables built once per level (_de_level).  The result is
+    the first level, from the third on, that agrees with the one before to
+    tol, or to a few ulp of the integral of |f| where that is larger;
     QuadratureError carries the last level if none does by h = 2^-16.
 
     A 1-D array decay gives one integral per entry (a row): f is then
     called as f(u, rows), u of shape (len(rows), n) for the index array
     `rows` of the entries still running, and returns their values in that
     shape.  Each row keeps its own rounding floor, stop test and end-term
-    error, and stops being evaluated once it has stopped; the rows share the
-    tau nodes of the union of their trimmed windows, and the levels go on
-    until every row has stopped.  The value is the array of the rows'
-    integrals and the error estimate the worst row's; QuadratureError
-    carries the whole array.  Rows go through _DE_ROWS at a time.  A scalar
-    decay is the one-row case with f(u) on a 1-D u.  f is called directly,
-    not through as_array_fn, with floating-point warnings ignored.
+    error, and stops being evaluated once it has stopped (after the
+    look-ahead call, whose nodes every row running at level 1 gets, and
+    which `evaluations` counts in full); the rows share the tau nodes of the
+    union of their trimmed windows, and the levels go on until every row
+    has stopped.  The value is the array of the rows' integrals and the
+    error estimate the worst row's; QuadratureError carries the whole
+    array.  Rows go through _DE_ROWS at a time.  A scalar decay is the
+    one-row case with f(u) on a 1-D u.  f is called directly, not through
+    as_array_fn, with floating-point warnings ignored.
     """
     if tol <= 0:
         raise DomainError("tolerance must be > 0")
@@ -364,36 +381,68 @@ def _exp_sinh(f: Callable, decay, tol: float) -> QuadratureResult:
     return QuadratureResult(value, error, evaluations)
 
 
+@cache
+def _de_level(level: int) -> tuple:
+    """The nodes that exp-sinh level `level` adds over the whole tau window,
+    as read-only arrays of the abscissae e^{(pi/2) sinh tau} (u/L) and the
+    weights (pi/2) cosh tau, built on first use.  Level 0 is the grid of
+    step 1/2; level k > 0 has tau = lo + h (2m + 1), h = 2^(-k-1), so the
+    window between first-level nodes i and j is its slice
+    [i 2^(k-1), j 2^(k-1)), the nodes a + h, a + 3h, ... from a = tau_i."""
+    lo, hi = _DE_TAU
+    if level == 0:
+        tau = 0.5 * np.arange(math.ceil(2.0 * lo), math.floor(2.0 * hi) + 1)
+    else:
+        h = 0.5 ** (level + 1)
+        tau = lo + h * np.arange(1.0, (hi - lo) / h, 2.0)
+    x = np.exp(0.5 * math.pi * np.sinh(tau))
+    w = 0.5 * math.pi * np.cosh(tau)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _de_nodes(levels: range, i: int, j: int) -> tuple:
+    """Abscissae and weights of the nodes that `levels` add in the window
+    between first-level nodes i and j, level after level."""
+    parts = [(x[i << (k - 1):j << (k - 1)], w[i << (k - 1):j << (k - 1)])
+             for k in levels for x, w in (_de_level(k),)]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
     """The levels of _exp_sinh for map scales `scales`: a 1-D array of rows,
     the entries start, start + 1, ... of the batch, for which f is called as
     f(u, rows) with u of shape (rows, n) and the index array of the rows
     still running; or one number, for which f(u) is called on a 1-D u.
     Returns the rows' values, error estimates and convergence flags as
-    lists, and the count of evaluations."""
+    lists, and the count of evaluations: every node f was called on, also
+    the look-ahead nodes of a row that stopped before the last level of its
+    block."""
     batch = isinstance(scales, np.ndarray)
     live = list(range(len(scales) if batch else 1))  # the rows still running
     rows = np.arange(start, start + len(live))
     column = scales[:, None] if batch else scales
 
-    def terms(tau: np.ndarray) -> np.ndarray:
-        u = column * np.exp(0.5 * math.pi * np.sinh(tau))
+    def terms(x: np.ndarray, w: np.ndarray) -> tuple:
+        # u and the terms f(u) u w, one row per running row, also when u
+        # is 1-D
+        u = column * x
         y = f(u, rows) if batch else f(u)
-        # one row per running row, also when u is 1-D
-        return (y * (u * (0.5 * math.pi * np.cosh(tau)))).reshape(len(live), -1)
+        return u.reshape(len(rows), -1), \
+            (y * (u * w)).reshape(len(rows), -1)
 
-    def non_finite(tau: np.ndarray) -> NonFiniteIntegrandError:
-        u = column * np.exp(0.5 * math.pi * np.sinh(tau))
-        bad = u[~np.isfinite(f(u, rows) if batch else f(u))]
+    def non_finite(u: np.ndarray, values: np.ndarray):
+        bad = u[~np.isfinite(values)]
         return NonFiniteIntegrandError(
             f"integrand returned a non-finite value near u={bad[0]:.6g}")
 
     h = 0.5
-    lo, hi = _DE_TAU
-    tau = h * np.arange(math.ceil(lo / h), math.floor(hi / h) + 1)
-    first = terms(tau)
+    x0, w0 = _de_level(0)
+    u, first = terms(x0, w0)
     if not np.isfinite(first).all():
-        raise non_finite(tau)
+        raise non_finite(u, first)
     evaluations = first.size
     size = np.abs(first)
     tail = (h * (size[:, 0] + size[:, -1])).tolist()
@@ -401,27 +450,36 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
     # exceeds eps times its largest, plus one node on each side
     keep = np.flatnonzero(
         (size > _EPS * size.max(axis=1, keepdims=True)).any(axis=0))
-    i, j = (max(keep[0] - 1, 0), min(keep[-1] + 1, tau.size - 1)) \
-        if keep.size else (0, tau.size - 1)
-    a = tau[i]
+    i, j = (max(int(keep[0]) - 1, 0), min(int(keep[-1]) + 1, x0.size - 1)) \
+        if keep.size else (0, x0.size - 1)
     total = (h * first[:, i:j + 1].sum(axis=1)).tolist()
     # the first level's integral of |f| sets each row's rounding floor
     floor = (_DE_ROUNDING * h * size[:, i:j + 1].sum(axis=1)).tolist()
     stop = [max(tol, x) for x in floor]
     error = [math.inf] * len(live)
-    count = int(j - i)  # intervals of width h in [a, tau[j]]
+    place = list(range(len(live)))  # the running rows' places in the block
     for level in range(1, _DE_LEVELS):
+        if level == 1 or level > _DE_AHEAD:
+            # one call on the nodes of levels 1.._DE_AHEAD, then one a level
+            if len(live) < len(rows):
+                rows, column = rows[place], column[place]
+                place = list(range(len(live)))
+            last = _DE_AHEAD if level == 1 else level
+            u, block = terms(*_de_nodes(range(level, last + 1), i, j))
+            evaluations += block.size
+            end = 0
         h *= 0.5
-        nodes = a + h * np.arange(1.0, 2 * count, 2.0)
-        new = terms(nodes).sum(axis=1)
+        begin, end = end, end + ((j - i) << (level - 1))
+        sums = block[:, begin:end].sum(axis=1)
+        new = sums.tolist()
         # a non-finite term makes its row's sum non-finite
-        if not np.isfinite(new).all():
-            raise non_finite(nodes)
-        evaluations += len(live) * count
-        count *= 2
+        if not np.isfinite(sums).all():
+            for p in place:
+                if not cmath.isfinite(new[p]):
+                    raise non_finite(u[p, begin:end], block[p, begin:end])
         going = []
-        for k, (r, part) in enumerate(zip(live, new.tolist())):
-            previous, total[r] = total[r], 0.5 * total[r] + h * part
+        for k, (r, p) in enumerate(zip(live, place)):
+            previous, total[r] = total[r], 0.5 * total[r] + h * new[p]
             error[r] = abs(total[r] - previous) + tail[r]
             if level < 2 or error[r] > stop[r]:
                 going.append(k)
@@ -429,7 +487,7 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
             break
         if len(going) < len(live):
             live = [live[k] for k in going]
-            rows, column = rows[going], column[going]
+            place = [place[k] for k in going]
     converged = [e <= s for e, s in zip(error, stop)]
     return total, [max(e, x) for e, x in zip(error, floor)], converged, \
         evaluations

@@ -12,12 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from degenspec import special_fn
+from degenspec.degeneration import g_degenerating_counting
 from degenspec.errors import (DomainError, NonFiniteIntegrandError,
                               QuadratureError)
+from degenspec.geometry import SurfaceData
+from degenspec.hplane import heat_kernel_h
 from degenspec.special_fn import (_DE_ROWS, KBesselArgs, QuadratureResult,
-                                  digamma, integrate_finite,
+                                  _de_level, digamma, integrate_finite,
                                   integrate_real_line, integrate_semi_infinite,
                                   k_bessel, log_gamma, reciprocal_gamma)
+from degenspec.traces import elliptic_trace_u
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -268,6 +273,110 @@ def test_paired_panels_keep_the_values_and_counts(kind, expr, args, value,
     # the initial layout is one call, each bisection one more
     assert calls[0] == res.evaluations - 30 * (len(calls) - 1)
     assert set(calls[1:]) <= {30}
+
+
+def _gamma_batch(tol):
+    """Rows e^{-u}, u^3 e^{-u}, u^8 e^{-u}, which stop at successive levels."""
+    f = _gamma_rows([1.0, 1.0, 1.0], [0.0, 3.0, 8.0])
+    return lambda: integrate_exp_sinh(f, decay=np.ones(3), tol=tol)
+
+
+# the values and error estimates of the rule with one integrand call per
+# level, which the look-ahead over levels 1-4 must keep bit for bit; then
+# the evaluations and integrand calls of the look-ahead: two calls for an
+# integral that stops by level 4
+LEVEL_BY_LEVEL = [
+    ("gaussian", lambda: integrate_exp_sinh(lambda x: np.exp(-x * x),
+                                            decay=1.0, tol=1e-12),
+     0.886226925452758, 1.570730038865812e-15, 169, 2),
+    ("etr-2-3", lambda: elliptic_trace_u((2, 3), 0.05),
+     0.6826863723433446, 1.211137537520031e-15, 169, 2),
+    ("etr-1e7", lambda: elliptic_trace_u((10 ** 7,), 1.0),
+     8.568216795979644, 1.5176824781905934e-14, 712, 4),
+    ("plane-kernel", lambda: heat_kernel_h(0.5, 0.0),
+     0.4807846202472672 + 0j, 2.9976021664879227e-15, 154, 2),
+    ("power", lambda: integrate_exp_sinh(lambda u: u ** -0.4 * np.exp(-u),
+                                         decay=1.0, tol=1e-13),
+     1.489192248812817, 2.6448117131076274e-15, 214, 2),
+    ("counting-sum", lambda: g_degenerating_counting(
+        SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 3, 64),
+                    degenerating=(2,)), 1.0, 50.0),
+     271.60214466238097, 1.5086243365658447e-10, 1543, 5),
+    # rows stopping at levels 2, 3 and 4: the nodes of levels 3 and 4 that
+    # the first two rows did not need count too (357 one level at a time)
+    ("rows-2-3-4", _gamma_batch(1e-4),
+     [1.0000000004024605, 6.000000000000075, 40320.0],
+     7.251255011331281e-06, 597, 2),
+    # rows stopping at levels 3, 4 and 5 (693 one level at a time)
+    ("rows-3-4-5", _gamma_batch(1e-8), [1.0, 6.000000000000001, 40320.0],
+     4.0246050936332267e-10, 789, 3),
+]
+
+
+@pytest.mark.parametrize("run, value, error, evaluations, calls",
+                         [case[1:] for case in LEVEL_BY_LEVEL],
+                         ids=[case[0] for case in LEVEL_BY_LEVEL])
+def test_look_ahead_keeps_the_values_and_errors(monkeypatch, run, value,
+                                                error, evaluations, calls):
+    seen = []
+    rule = special_fn._exp_sinh
+
+    def spy(f, decay, tol):
+        count = []
+
+        def counted(u, *rows):
+            count.append(u.shape)
+            return f(u, *rows)
+
+        res = rule(counted, decay, tol)
+        seen.append((res, len(count)))
+        return res
+
+    monkeypatch.setattr(special_fn, "_exp_sinh", spy)
+    run()
+    [(res, n)] = seen
+    assert np.asarray(res.value).tolist() == value
+    assert res.error_estimate == error
+    assert res.evaluations == evaluations
+    assert n == calls
+
+
+def test_a_nan_at_a_look_ahead_node_names_its_u():
+    inputs = []
+
+    def f(u):
+        inputs.append(u)
+        y = np.exp(-u * u)
+        if len(inputs) == 2:
+            y[-1] = np.nan  # the last node of level 4
+        return y
+
+    with pytest.raises(NonFiniteIntegrandError) as err:
+        integrate_exp_sinh(f, decay=1.0, tol=1e-12)
+    assert len(inputs) == 2
+    assert f"u={inputs[1][-1]:.6g}" in str(err.value)
+
+
+def test_a_nan_that_only_a_stopped_row_sees_is_not_used():
+    # the first row stops at level 2, before the level-4 node that is NaN
+    rows = _gamma_rows([1.0, 1.0, 1.0], [0.0, 3.0, 8.0])
+
+    def f(u, running):
+        y = rows(u, running)
+        if y.shape[1] > 19:
+            y[0, -1] = np.nan
+        return y
+
+    res = integrate_exp_sinh(f, decay=np.ones(3), tol=1e-4)
+    assert res.value.tolist() == LEVEL_BY_LEVEL[6][2]
+
+
+def test_node_tables_are_read_only():
+    for level in (0, 1, 4, 5):
+        for table in _de_level(level):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1.0
 
 
 class TestIntegrateFinite:

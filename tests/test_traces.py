@@ -18,15 +18,16 @@ from degenspec.errors import (AdmissibilityError, AlphaCollisionError,
                               DomainError, InvariantViolation)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.hplane import heat_kernel_h
-from degenspec.special_fn import integrate_semi_infinite
+from degenspec import traces
+from degenspec.special_fn import as_array_fn, integrate_semi_infinite
 from degenspec.traces import (TestFunctionPair, TraceSeries, _cone_series,
                               degenerating_trace,
                               elliptic_trace_r, elliptic_trace_u, fermi_weight,
                               geometric_side, hyperbolic_sum_reduced,
                               hyperbolic_trace, identity_trace,
                               noncompact_spectral_terms, spectral_side_compact,
-                              standard_trace, transform_H, transform_Hhat,
-                              truncated_trace)
+                              standard_trace, surface_trace_provider,
+                              transform_H, transform_Hhat, truncated_trace)
 
 
 def brute_hyperbolic(spectrum, t):
@@ -602,3 +603,25 @@ class TestBatchedTimes:
     def test_empty_orders_give_zeros(self):
         assert np.array_equal(elliptic_trace_u((), np.array([0.1, 1.0])),
                               [0.0, 0.0])
+
+    def test_provider_takes_an_array_in_one_call(self, compact_surface,
+                                                 monkeypatch):
+        sizes = []
+        inner = traces.standard_trace
+
+        def counted(surface, t, tol):
+            sizes.append(np.size(t))
+            return inner(surface, t, tol)
+
+        monkeypatch.setattr(traces, "standard_trace", counted)
+        provider = surface_trace_provider(compact_surface)
+        times = np.geomspace(1e-3, 10.0, 15)
+        values = as_array_fn(provider)(times)
+        # one batched call, which the scalar memo does not see
+        assert sizes == [15]
+        assert provider.cache_info().currsize == 0
+        assert values == pytest.approx([provider(t) for t in times.tolist()],
+                                       rel=1e-15)
+        provider(float(times[0]))
+        info = provider.cache_info()
+        assert (info.hits, info.misses) == (1, 15)

@@ -276,8 +276,8 @@ def integrate_semi_infinite(f: Callable, decay: float | np.ndarray = 1.0,
 
     rule="exp-sinh" (f analytic on (0, inf), array-native, finite at every
     node): the double-exponential rule, two array calls of f for most
-    integrals (see _exp_sinh); integrable algebraic singularities at 0 are admissible, `limit` does not
-    apply.  decay may be a 1-D array: one integral per entry, f called as
+    integrals (see _exp_sinh); integrable algebraic singularities at 0 are
+    admissible, `limit` does not apply.  decay may be a 1-D array: one integral per entry, f called as
     f(u, rows) with u of shape (rows, n), and the value the array of the
     integrals (see _exp_sinh).
     """
@@ -404,8 +404,11 @@ def _de_level(level: int) -> tuple:
 def _de_nodes(levels: range, i: int, j: int) -> tuple:
     """Abscissae and weights of the nodes that `levels` add in the window
     between first-level nodes i and j, level after level."""
-    parts = [(x[i << (k - 1):j << (k - 1)], w[i << (k - 1):j << (k - 1)])
-             for k in levels for x, w in (_de_level(k),)]
+    parts = []
+    for k in levels:
+        x, w = _de_level(k)
+        span = slice(i << (k - 1), j << (k - 1))
+        parts.append((x[span], w[span]))
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(p) for p in zip(*parts))
@@ -418,8 +421,7 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
     still running; or one number, for which f(u) is called on a 1-D u.
     Returns the rows' values, error estimates and convergence flags as
     lists, and the count of evaluations: every node f was called on, also
-    the look-ahead nodes of a row that stopped before the last level of its
-    block."""
+    the look-ahead nodes of a row that stopped at level 2 or 3."""
     batch = isinstance(scales, np.ndarray)
     live = list(range(len(scales) if batch else 1))  # the rows still running
     rows = np.arange(start, start + len(live))

@@ -341,10 +341,10 @@ def cone_integral(orders, hhat: Callable, decay, tol: float):
 
     F is analytic on (0, inf), with its nearest poles at u = +-2 pi i/q, so
     an analytic hhat makes the integral one exp-sinh quadrature
-    (integrate_semi_infinite with rule="exp-sinh"): two to four array
-    calls of hhat F, whose cost does not grow with the orders and grows
-    only slowly with q as the poles close in on u = 0 (for t from 1e-4 to
-    100 the Gaussian of ETr takes 169-391 nodes in two or three calls for
+    (integrate_semi_infinite with rule="exp-sinh"): a few array calls of
+    hhat F, whose cost does not grow with the orders and grows only slowly
+    with q as the poles close in on u = 0 (for t from 1e-4 to 100 the
+    Gaussian of ETr takes 169-391 nodes in two or three calls for
     q <= 1000, and 712-838 nodes in four calls at q = 1e7).
 
     A 1-D array of decay rates makes one batched call, one integral per

@@ -349,6 +349,10 @@ def run(config: RunConfig) -> int:
         return EXIT_CONFIG
 
 
+_T_HELP = ("counting bound T; G is resolved up to T ~ 3e6, and the command "
+           "exits 3 above that")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degenspec",
@@ -376,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degenerate", help="degenerating counting sweep of a family")
     add_common(p)
-    p.add_argument("--T", dest="T", type=float, required=True)
+    p.add_argument("--T", dest="T", type=float, required=True, help=_T_HELP)
     p.add_argument("--w", type=float, default=0.0)
 
     p = sub.add_parser("count", help="weighted counting function on a T-grid")
@@ -404,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, needs_input=False)
     p.add_argument("--N", dest="N_values", required=True,
                    help="comma-separated Hecke orders, e.g. 1000,10000")
-    p.add_argument("--T", dest="T", type=float, required=True)
+    p.add_argument("--T", dest="T", type=float, required=True, help=_T_HELP)
     p.add_argument("--w", type=float, default=0.0)
 
     return parser

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .special_fn import KBesselArgs, integrate_semi_infinite, k_bessel
-from .traces import _normalize_spectrum, geodesic_sum, hyperbolic_sum_reduced
+from .traces import (_normalize_spectrum, _removed_eigenvalues, geodesic_sum,
+                     hyperbolic_sum_reduced)
 
 __all__ = [
     "LogDerivEvaluation",
@@ -137,16 +138,12 @@ def selberg_logderiv_kbessel(lengths, s) -> LogDerivEvaluation:
 def truncated_logderiv(lengths, small_eigenvalues, alpha: float, s,
                        tol: float = 1e-12) -> complex:
     """Z'/Z(s) minus the small-eigenvalue terms (2s-1)/(s(s-1)+lambda) over
-    listed lambda < alpha; poles exactly where s(s-1) = -lambda."""
-    if not 0.0 <= alpha < 0.25:
-        raise DomainError(f"alpha must lie in [0, 1/4), got {alpha}")
+    listed lambda <= alpha, alpha in [0, 1/4) off every listed eigenvalue
+    (AlphaCollisionError); poles exactly where s(s-1) = -lambda."""
+    removed = _removed_eigenvalues(small_eigenvalues, alpha)
     s = complex(s)
-    base = selberg_logderiv_integral(lengths, s, tol).value
-    total = complex(base)
-    for lam in small_eigenvalues:
-        lam = float(lam)
-        if lam >= alpha:
-            continue
+    total = complex(selberg_logderiv_integral(lengths, s, tol).value)
+    for lam in removed:
         denom = s * (s - 1.0) + lam
         if abs(denom) < 1e-9:
             raise PoleError(

@@ -425,25 +425,27 @@ def standard_trace(surface: SurfaceData, t, tol: float = 1e-12):
             + surface.volume * plane)
 
 
-def _check_alpha(surface: SurfaceData, alpha: float, *,
-                 closed_below: bool = True) -> None:
-    """alpha in [0, 1/4), or in (0, 1/4) when not closed_below, and off every
-    listed eigenvalue."""
+def _removed_eigenvalues(eigenvalues, alpha: float, *,
+                         closed_below: bool = True) -> list:
+    """The listed eigenvalues lambda <= alpha, the modes a truncation at
+    alpha removes.  alpha must lie in [0, 1/4), or in (0, 1/4) when not
+    closed_below, and off every listed eigenvalue (AlphaCollisionError)."""
     if not (0.0 < alpha < 0.25 or (closed_below and alpha == 0.0)):
         bracket = "[" if closed_below else "("
         raise DomainError(f"alpha must lie in {bracket}0, 1/4), got {alpha}")
-    for lam in surface.small_eigenvalues:
+    eigenvalues = [float(lam) for lam in eigenvalues]
+    for lam in eigenvalues:
         if abs(lam - alpha) < 1e-12:
             raise AlphaCollisionError(
                 f"alpha = {alpha} collides with listed eigenvalue {lam}")
+    return [lam for lam in eigenvalues if lam <= alpha]
 
 
 def removed_modes(surface: SurfaceData, alpha: float, t: float) -> float:
     """Sum of e^{-lambda t} over listed eigenvalues lambda <= alpha, the part
     truncated_trace removes.  alpha must not equal a listed eigenvalue."""
-    _check_alpha(surface, alpha)
-    return sum(math.exp(-lam * t) for lam in surface.small_eigenvalues
-               if lam <= alpha)
+    return sum(math.exp(-lam * t)
+               for lam in _removed_eigenvalues(surface.small_eigenvalues, alpha))
 
 
 def truncated_trace(surface: SurfaceData, alpha: float, t: float,

@@ -9,7 +9,9 @@ back the explicit rational piece b_alpha/(Gamma(s)(s+alpha)).  The same core
 handles the Laplace-Mellin (Hurwitz) transform through an incomplete-gamma
 factor, and the regularized determinant is exp(-zeta'(0)) with the
 derivative taken by Richardson-refined central differences.  That route
-serves opaque traces and finite spectra.  A surface goes term by term
+serves opaque traces and finite spectra, all set up one way: one truncation
+(_truncation) removes the listed modes lambda <= alpha, and one rule
+(_expansion_terms) gives the subtracted terms.  A surface goes term by term
 instead (surface_zeta, surface_log_det): HTr, ETr and the identity term each
 have an exact transform, so nothing there is fitted or differenced in s.
 """
@@ -22,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (AlphaCollisionError, ConvergenceError, DivergenceError,
-                     DomainError, ExpansionMismatchError, FitError,
+from .errors import (ConvergenceError, DivergenceError, DomainError,
+                     ExpansionMismatchError, FitError,
                      InsufficientSubtractionsError, PoleError,
                      StripViolationError)
 from .geometry import DegeneratingFamily, SurfaceData
@@ -31,9 +33,8 @@ from .geometry import DegeneratingFamily, SurfaceData
 from .hplane import heat_kernel_h
 from .special_fn import (as_array_fn, integrate_finite, integrate_semi_infinite,
                          reciprocal_gamma)
-from .traces import (_check_alpha, _cone_series, degenerating_trace,
-                     elliptic_trace_u, geodesic_sum, hyperbolic_trace,
-                     standard_trace)
+from .traces import (_cone_series, _removed_eigenvalues, elliptic_trace_u,
+                     geodesic_sum, hyperbolic_trace)
 
 __all__ = [
     "HeatCoefficients",
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 _POLE_EPS = 1e-9
+# where the continued Mellin integral passes from its small-t to its tail part
+_SPLIT = 1.0
 # residual floor of the heat-coefficient fit, in units of max|t trace(t)|
 _FIT_FLOOR = 64.0 * np.finfo(float).eps
 # small-t samples, a factor 4 apart, on which supplied coefficients are
@@ -184,8 +187,6 @@ def _normalize_terms(coefficients) -> list:
     Accepts HeatCoefficients, a plain sequence of floats (interpreted as the
     integer ladder starting at power -1), or explicit (power, value) pairs.
     """
-    if coefficients is None:
-        return []
     if isinstance(coefficients, HeatCoefficients):
         return coefficients.pairs()
     pairs = []
@@ -229,13 +230,13 @@ def _check_terms(trace: Callable, terms: list) -> None:
 
 
 def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
-                      split: float, tol: float, tail_decay: float,
+                      tol: float, tail_decay: float,
                       z: complex = 0.0) -> tuple:
     """Continued (1/Gamma(s)) int_0^inf [trace(t) - c_M] e^{-zt} t^{s-1} dt.
 
     Returns (value, pole_flag).  `terms` lists the subtracted small-time
     powers of the trace; the tail constant c_M is removed through its own
-    power-0 term on [0, split] and directly on [split, inf).
+    power-0 term on [0, _SPLIT] and directly on [_SPLIT, inf).
     """
     s = complex(s)
     z = complex(z)
@@ -247,9 +248,9 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
             if abs(s - 1.0) < _POLE_EPS:
                 raise PoleError(
                     f"zeta has a simple pole at s = 1 with residue {b}")
-        total += _weighted_sub_term(s, alpha, b, split, z)
+        total += _weighted_sub_term(s, alpha, b, _SPLIT, z)
     if c_M != 0.0:
-        total -= _weighted_sub_term(s, 0.0, c_M, split, z)
+        total -= _weighted_sub_term(s, 0.0, c_M, _SPLIT, z)
 
     rg = reciprocal_gamma(s)
 
@@ -272,12 +273,12 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
         n_rem = max(alpha for alpha, _ in terms) + 1.0
         exponent = n_rem + s.real
         if exponent > 0:
-            t_lo = min(1e-4, tol ** (1.0 / exponent), 0.01 * split)
-    low = integrate_finite(low_integrand, t_lo, split, tol)
+            t_lo = min(1e-4, tol ** (1.0 / exponent), 0.01 * _SPLIT)
+    low = integrate_finite(low_integrand, t_lo, _SPLIT, tol)
     total += rg * low.value
 
     def high_integrand(x: np.ndarray):
-        t = split + x
+        t = _SPLIT + x
         base = np.asarray(trace(t), dtype=float) - c_M + 0.0j
         w = np.exp((s - 1.0) * np.log(t))
         if z != 0.0:
@@ -372,40 +373,43 @@ def fit_trace_expansion(trace: Callable, powers, *, known=(),
     return sorted(known + fitted)
 
 
-def _ladder_terms(trace, n_subtractions: int, coefficients) -> list:
+def _expansion_terms(trace: Callable, coefficients, n_subtractions: int,
+                     removed=()) -> list:
+    """The small-time terms a transform of `trace` subtracts: without
+    coefficients, the first n_subtractions + 1 of a heat_coefficients fit;
+    else all supplied ones (a HeatCoefficients counts as its float ladder),
+    which describe the trace before the `removed` modes were taken out, so
+    they are shifted for those modes and checked against `trace`."""
     if coefficients is None:
-        fit = heat_coefficients(trace, max(n_subtractions, 0))
-        return fit.pairs(n_subtractions + 1)
-    if isinstance(coefficients, HeatCoefficients):
-        return coefficients.pairs(n_subtractions + 1)
-    return _normalize_terms(coefficients)
+        return heat_coefficients(trace, n_subtractions).pairs(n_subtractions + 1)
+    terms = _adjust_terms_for_modes(_normalize_terms(coefficients), removed)
+    _check_terms(trace, terms)
+    return terms
 
 
 def spectral_zeta_mellin(trace: Callable, c_M: float, s, n_subtractions: int = 0,
-                         *, coefficients=None, split: float = 1.0,
-                         tol: float = 1e-12,
+                         *, coefficients=None, tol: float = 1e-12,
                          tail_decay: float = 0.25) -> ZetaEvaluation:
     """Spectral zeta as the continued Mellin transform of the trace.
 
     c_M is the t -> infinity limit of the trace (the zero-mode count for a
     genuine spectral trace).  n_subtractions = n subtracts the expansion
-    terms b_{-1}, ..., b_{n-1}, valid for Re(s) + n > 0; coefficients may be
-    a HeatCoefficients fit, a float ladder, or explicit (power, value) pairs
-    (fitted from the trace when omitted).  Supplied coefficients are checked
-    against the trace at small t (ExpansionMismatchError on a mismatch).
+    terms b_{-1}, ..., b_{n-1}, valid for Re(s) + n > 0, fitted from the
+    trace when coefficients are omitted.  Supplied coefficients, a
+    HeatCoefficients fit, a float ladder or explicit (power, value) pairs,
+    are subtracted in full and checked against the trace at small t
+    (ExpansionMismatchError on a mismatch).
     """
     s = complex(s)
     if n_subtractions < 0:
         raise DomainError("n_subtractions must be >= 0")
-    terms = _ladder_terms(trace, n_subtractions, coefficients)
+    terms = _expansion_terms(trace, coefficients, n_subtractions)
     is_ladder = terms and all(abs(a - round(a)) < 1e-12 for a, _ in terms)
     if (coefficients is None or is_ladder) and s.real + n_subtractions <= 0:
         raise InsufficientSubtractionsError(
             f"Re(s) + n_subtractions = {s.real + n_subtractions} <= 0; "
             "deepen the subtraction to continue this far left")
-    if coefficients is not None:
-        _check_terms(trace, terms)
-    value, pole_flag = _continued_mellin(trace, s, terms, c_M, split, tol,
+    value, pole_flag = _continued_mellin(trace, s, terms, c_M, tol,
                                          tail_decay)
     return ZetaEvaluation(s=s, value=value, n_subtractions=n_subtractions,
                           pole_flag=pole_flag)
@@ -459,14 +463,8 @@ def hurwitz_zeta(spectral_input, s, z, *, stage: int = 0, c_M: float = 1.0,
         if z.real <= 0 and z != 0:
             raise StripViolationError(
                 f"trace input needs Re(z) > 0, got {z}")
-        if coefficients is not None:
-            terms = _normalize_terms(coefficients)
-            _check_terms(spectral_input, terms)
-        else:
-            terms = heat_coefficients(spectral_input,
-                                      max(n_subtractions, 0)).pairs(
-                                          n_subtractions + 1)
-        value, _ = _continued_mellin(spectral_input, s, terms, c_M, 1.0, tol,
+        terms = _expansion_terms(spectral_input, coefficients, n_subtractions)
+        value, _ = _continued_mellin(spectral_input, s, terms, c_M, tol,
                                      tail_decay, z=z)
         return complex(value)
 
@@ -495,10 +493,28 @@ def hurwitz_zeta(spectral_input, s, z, *, stage: int = 0, c_M: float = 1.0,
         tt = np.asarray(t, dtype=float)
         return np.sum(np.exp(-np.outer(tt.ravel(), gaps)), axis=1).reshape(tt.shape)
 
-    value, _ = _continued_mellin(tail_trace, s, [], 0.0, 1.0, tol,
+    value, _ = _continued_mellin(tail_trace, s, [], 0.0, tol,
                                  tail_decay=float(gaps.min()),
                                  z=z + shift)
     return complex(head + value)
+
+
+def _truncation(trace: Callable, small_eigenvalues, alpha: float, c_M: float,
+                tail_decay: float) -> tuple:
+    """(truncated trace, removed modes, tail constant, tail rate) of `trace`
+    less the listed modes lambda <= alpha, alpha in (0, 1/4): each removed
+    zero mode lowers c_M by one, each removed positive mode caps the rate."""
+    removed = _removed_eigenvalues(small_eigenvalues, alpha, closed_below=False)
+
+    def truncated(t: np.ndarray):
+        base = np.asarray(trace(t), dtype=float)
+        for lam in removed:
+            base = base - np.exp(-lam * np.asarray(t, dtype=float))
+        return base
+
+    return (truncated, removed,
+            c_M - sum(1.0 for lam in removed if lam == 0.0),
+            min([tail_decay] + [lam for lam in removed if lam > 0]))
 
 
 def truncated_zeta(spectral_input, alpha: float, s, *,
@@ -516,92 +532,41 @@ def truncated_zeta(spectral_input, alpha: float, s, *,
     are shifted for the subtracted modes and the result is checked against
     the truncated trace at small t.
     """
-    if not 0.0 < alpha < 0.25:
-        raise DomainError(f"alpha must lie in (0, 1/4), got {alpha}")
     s = complex(s)
     if callable(spectral_input):
-        subtracted = [lam for lam in small_eigenvalues
-                      if abs(lam - alpha) < 1e-12]
-        if subtracted:
-            raise AlphaCollisionError(
-                f"alpha = {alpha} collides with eigenvalue {subtracted[0]}")
-        subs = [float(lam) for lam in small_eigenvalues if lam <= alpha]
-
-        def trace(t: np.ndarray):
-            base = np.asarray(spectral_input(t), dtype=float)
-            for lam in subs:
-                base = base - np.exp(-lam * np.asarray(t, dtype=float))
-            return base
-
-        if coefficients is not None:
-            terms = _adjust_terms_for_modes(_normalize_terms(coefficients), subs)
-            _check_terms(trace, terms)
-        else:
-            terms = heat_coefficients(trace, max(n_subtractions, 0)).pairs(
-                n_subtractions + 1)
-        c_M_eff = c_M - sum(1.0 for lam in subs if lam == 0.0)
-        positive = [lam for lam in subs if lam > 0]
-        tail_eff = min([tail_decay] + positive)
-        value, _ = _continued_mellin(trace, s, terms, c_M_eff, 1.0, tol,
-                                     tail_eff)
+        trace, removed, c_M, tail_decay = _truncation(
+            spectral_input, small_eigenvalues, alpha, c_M, tail_decay)
+        terms = _expansion_terms(trace, coefficients, n_subtractions, removed)
+        value, _ = _continued_mellin(trace, s, terms, c_M, tol, tail_decay)
         return complex(value)
     lams = [float(x) for x in spectral_input]
-    for lam in lams:
-        if abs(lam - alpha) < 1e-12:
-            raise AlphaCollisionError(
-                f"alpha = {alpha} collides with eigenvalue {lam}")
+    _removed_eigenvalues(lams, alpha, closed_below=False)
     return spectral_zeta_series([lam for lam in lams if lam > alpha], s)
 
 
-def _zeta_callable_for_det(spectral_input, c_M, coefficients, n_subtractions,
-                           tol, tail_decay) -> Callable:
-    if callable(spectral_input):
-        if coefficients is not None:
-            terms = _normalize_terms(coefficients)
-            _check_terms(spectral_input, terms)
-        else:
-            terms = heat_coefficients(spectral_input,
-                                      max(n_subtractions, 1)).pairs(
-                                          n_subtractions + 1)
-
-        def zeta(s: complex) -> complex:
-            value, _ = _continued_mellin(spectral_input, s, terms, c_M, 1.0,
-                                         tol, tail_decay)
-            return complex(value)
-
-        return zeta
-    lams = [float(x) for x in spectral_input]
-    return lambda s: spectral_zeta_series(lams, s)
-
-
 def _derivative_at_zero(fn: Callable, h: float) -> float:
-    """Richardson-refined central difference of fn at 0."""
-    d1 = (fn(h) - fn(-h)) / (2.0 * h)
-    d2 = (fn(h / 2.0) - fn(-h / 2.0)) / h
+    """Richardson-refined central difference of fn at 0, taken on Python
+    complex values: numpy's complex128 division rounds differently."""
+    d1 = (complex(fn(h)) - complex(fn(-h))) / (2.0 * h)
+    d2 = (complex(fn(h / 2.0)) - complex(fn(-h / 2.0))) / h
     return float(np.real((4.0 * d2 - d1) / 3.0))
 
 
 def det_laplacian(spectral_input, *, c_M: float = 1.0, coefficients=None,
                   n_subtractions: int = 1, h: float = 1e-4,
                   tol: float = 1e-12, tail_decay: float = 0.25) -> float:
-    """Regularized determinant exp(-zeta'(0)).
-
-    zeta'(0) is a Richardson-refined central difference of the continued
-    zeta at s = +-h.  Finite spectra use the entire Dirichlet sum; trace
-    providers run the Mellin machinery (n_subtractions >= 1 so s = -h stays
-    inside the continued region); supplied coefficients are checked against
-    the trace once, at small t (ExpansionMismatchError on a mismatch).
-    """
+    """Regularized determinant exp(-zeta'(0)), zeta'(0) the
+    mellin_regularized_integral of the trace or finite spectrum (trace
+    providers need n_subtractions >= 1, so s = -h stays continued)."""
     if n_subtractions < 1 and callable(spectral_input):
         raise InsufficientSubtractionsError(
             "determinant evaluation needs n_subtractions >= 1")
-    zeta = _zeta_callable_for_det(spectral_input, c_M, coefficients,
-                                  n_subtractions, tol, tail_decay)
-    zprime = _derivative_at_zero(zeta, h)
-    return math.exp(-zprime)
+    return math.exp(-mellin_regularized_integral(
+        spectral_input, c_M=c_M, coefficients=coefficients,
+        n_subtractions=n_subtractions, h=h, tol=tol, tail_decay=tail_decay))
 
 
-def mellin_regularized_integral(trace: Callable, *, c_M: float = 0.0,
+def mellin_regularized_integral(trace, *, c_M: float = 0.0,
                                 coefficients=None, n_subtractions: int = 1,
                                 h: float = 1e-4, tol: float = 1e-12,
                                 tail_decay: float = 0.25) -> float:
@@ -609,11 +574,19 @@ def mellin_regularized_integral(trace: Callable, *, c_M: float = 0.0,
 
     Defined as d/ds[(1/Gamma(s)) int trace t^{s-1} dt] at s = 0, which equals
     the literal integral whenever it converges and extends it (finite part)
-    when the trace does not vanish at t = 0.
+    when the trace does not vanish at t = 0.  The derivative is a
+    Richardson-refined central difference of the continued transform at
+    s = +-h; supplied coefficients are checked against the trace once, at
+    small t (ExpansionMismatchError on a mismatch).  A finite spectrum in
+    place of the trace stands for sum e^{-lambda t} over its lambda > 0 and
+    differences its entire Dirichlet sum.
     """
-    zeta = _zeta_callable_for_det(trace, c_M, coefficients, n_subtractions,
-                                  tol, tail_decay)
-    return _derivative_at_zero(zeta, h)
+    if not callable(trace):
+        lams = [float(x) for x in trace]
+        return _derivative_at_zero(lambda s: spectral_zeta_series(lams, s), h)
+    terms = _expansion_terms(trace, coefficients, n_subtractions)
+    return _derivative_at_zero(lambda s: _continued_mellin(
+        trace, s, terms, c_M, tol, tail_decay)[0], h)
 
 
 def log_det_truncated(trace: Callable, small_eigenvalues, alpha: float, *,
@@ -628,29 +601,11 @@ def log_det_truncated(trace: Callable, small_eigenvalues, alpha: float, *,
     added), and the result is checked against the truncated trace at small
     t, raising ExpansionMismatchError on a mismatch.
     """
-    if not 0.0 < alpha < 0.25:
-        raise DomainError(f"alpha must lie in (0, 1/4), got {alpha}")
-    for lam in small_eigenvalues:
-        if abs(lam - alpha) < 1e-12:
-            raise AlphaCollisionError(
-                f"alpha = {alpha} collides with eigenvalue {lam}")
-    subs = [float(lam) for lam in small_eigenvalues if lam <= alpha]
-
-    def truncated(t: np.ndarray):
-        base = np.asarray(trace(t), dtype=float)
-        for lam in subs:
-            base = base - np.exp(-lam * np.asarray(t, dtype=float))
-        return base
-
-    if coefficients is not None:
-        coefficients = _adjust_terms_for_modes(_normalize_terms(coefficients),
-                                               subs)
-    c_M_eff = c_M - sum(1.0 for lam in subs if lam == 0.0)
-    positive = [lam for lam in subs if lam > 0]
-    tail_eff = min([tail_decay] + positive)
-    return -mellin_regularized_integral(
-        truncated, c_M=c_M_eff, coefficients=coefficients,
-        n_subtractions=n_subtractions, h=h, tol=tol, tail_decay=tail_eff)
+    trace, removed, c_M, tail_decay = _truncation(
+        trace, small_eigenvalues, alpha, c_M, tail_decay)
+    terms = _expansion_terms(trace, coefficients, n_subtractions, removed)
+    return -_derivative_at_zero(lambda s: _continued_mellin(
+        trace, s, terms, c_M, tol, tail_decay)[0], h)
 
 
 def _identity_zeta(vol: float, s, z, tol: float) -> complex:
@@ -718,8 +673,9 @@ def _zeta_prime_zero(lengths, orders, vol: float, tol: float) -> float:
 
 def _removed_positive_modes(surface: SurfaceData, alpha: float) -> list:
     """The listed eigenvalues in (0, alpha], alpha in (0, 1/4) off all of them."""
-    _check_alpha(surface, alpha, closed_below=False)
-    return [lam for lam in surface.small_eigenvalues if 0.0 < lam <= alpha]
+    return [lam for lam in _removed_eigenvalues(surface.small_eigenvalues,
+                                                alpha, closed_below=False)
+            if lam > 0.0]
 
 
 def surface_zeta(surface: SurfaceData, s, *, tol: float = 1e-12) -> complex:
@@ -740,26 +696,9 @@ def surface_log_det(surface: SurfaceData, alpha: float | None = None, *,
                              surface.volume, tol) - sum(map(math.log, removed))
 
 
-def _direct_member_value(family, alpha, k, s, n_subtractions, tol):
-    """Two-term route: truncated zeta of the member minus the Mellin
-    transform of its degenerating trace, each continued separately."""
-    member = family.member(k)
-    # c_M = 0 is the tail of the geometric-side trace itself; truncated_zeta
-    # accounts for the subtracted modes' tail on its own
-    tz = truncated_zeta(as_array_fn(lambda t: standard_trace(member, t)),
-                        alpha, s,
-                        small_eigenvalues=member.small_eigenvalues,
-                        c_M=0.0, n_subtractions=n_subtractions, tol=tol)
-    dtr = as_array_fn(lambda t: degenerating_trace(member, t))
-    dval, _ = _continued_mellin(dtr, complex(s), [], 0.0, 1.0, tol, 0.25)
-    return complex(tz - dval)
-
-
 def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
                                   s, *, mode: str = "zeta",
                                   z: complex | None = None,
-                                  route: str = "difference",
-                                  n_subtractions: int = 1,
                                   tol: float = 1e-12) -> list:
     """Regularized zeta-type values across a degenerating schedule.
 
@@ -769,11 +708,10 @@ def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
     "logdet" (minus the s-derivative at 0, i.e. the truncated log
     determinant plus the regularized degenerating integral).
 
-    route="difference" (the default) transforms the member trace with the
-    degenerating cones cancelled, HTr + ETr(kept) + vol I_1 - (removed
-    positive modes), I_1 the volume-1 identity term, once and term by term;
-    route="direct" (zeta mode only) fits n_subtractions small-time terms and
-    transforms each member; the difference route ignores n_subtractions.
+    The difference is transformed once and term by term: with the
+    degenerating cones cancelled the member trace is HTr + ETr(kept) +
+    vol I_1 - (removed positive modes), I_1 the volume-1 identity term, so
+    only vol changes down the schedule and nothing is fitted.
 
     Returns rows (prod q_gamma, value); convergence of the paper-style limit
     shows up as Cauchy-shrinking differences down the rows.
@@ -786,13 +724,6 @@ def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
             raise StripViolationError("hurwitz mode needs Re(z) > 0")
     qprods = [float(math.prod(row)) for row in family.schedule]
     volumes = [member.volume for member in family.members()]
-
-    if route == "direct":
-        if mode != "zeta":
-            raise DomainError("direct route implemented for mode='zeta'")
-        return [(q, _direct_member_value(family, alpha, k, s, n_subtractions,
-                                         tol)) for k, q in enumerate(qprods)]
-
     template = family.template
     lengths, kept = template.length_spectrum, template.kept_orders
     if mode == "logdet":

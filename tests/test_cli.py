@@ -186,3 +186,40 @@ def test_volume_against_gauss_bonnet_is_an_invariant_violation(
     path.write_text(json.dumps(data))
     assert cli.main(["det", "--surface", str(path)]) == cli.EXIT_INVARIANT
     assert "invariant violation" in capsys.readouterr().err
+
+
+def test_counting_sum_past_its_range_is_numeric_non_convergence(capsys):
+    # the exp-sinh rule resolves the Bessel kernel of G up to T ~ 3e6
+    argv = ["hecke-sweep", "--N", "15,30,60", "--T", "1e8"]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    assert "numeric non-convergence" in capsys.readouterr().err
+
+
+def _parse_error(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("degenspec: parse error: ")
+    return err
+
+
+def test_invalid_json_names_line_and_column(tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text('{\n  "genus": 2,\n  oops\n}\n')
+    err = _parse_error(["det", "--surface", str(path)], capsys)
+    assert "invalid JSON at line 3, column 3" in err
+
+
+def test_unknown_surface_field_is_named(compact_surface, tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    save_surface(compact_surface, path)
+    data = json.loads(path.read_text())
+    data["colour"] = "blue"
+    path.write_text(json.dumps(data))
+    err = _parse_error(["det", "--surface", str(path)], capsys)
+    assert "unknown surface fields: ['colour']" in err
+
+
+def test_unreadable_path_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    err = _parse_error(["det", "--surface", str(path)], capsys)
+    assert f"cannot read {path}" in err

@@ -11,7 +11,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degenspec.errors import DomainError, PoleError
+from degenspec.errors import AlphaCollisionError, DomainError, PoleError
 from degenspec.selberg import (selberg_logderiv_integral,
                                selberg_logderiv_kbessel,
                                selberg_logderiv_series, selberg_z_prime_one,
@@ -89,6 +89,16 @@ def test_integral_below_one_certificate():
     ev = selberg_logderiv_integral([(1.0, 1)], complex(0.8, 0.1))
     assert ev.representation == "integral"
     assert ev.domain_certificate == "Re(s^2-s)>-1/4"
+
+
+def test_truncated_logderiv_alpha_on_an_eigenvalue_collides():
+    # the one alpha rule of every truncation: modes lambda <= alpha go, and
+    # an alpha on a listed eigenvalue is refused, not silently kept
+    for alpha in (0.0, 0.1):
+        with pytest.raises(AlphaCollisionError):
+            truncated_logderiv([(1.0, 1)], (0.0, 0.1), alpha, 2.0)
+    with pytest.raises(DomainError):
+        truncated_logderiv([(1.0, 1)], (0.0,), 0.25, 2.0)
 
 
 def test_truncated_logderiv_pole():

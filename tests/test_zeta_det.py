@@ -22,7 +22,8 @@ from degenspec.errors import (AlphaCollisionError, DivergenceError,
                               StripViolationError)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.special_fn import as_array_fn, integrate_semi_infinite
-from degenspec.traces import elliptic_trace_u, standard_trace
+from degenspec.traces import (degenerating_trace, elliptic_trace_u,
+                              standard_trace)
 from degenspec.zeta_det import (HeatCoefficients, ZetaEvaluation,
                                 degeneration_subtraction_zeta, det_laplacian,
                                 fit_trace_expansion, heat_coefficients,
@@ -158,6 +159,25 @@ class TestMellin:
         trace = finite_model_trace([1.0])
         with pytest.raises(InsufficientSubtractionsError):
             spectral_zeta_mellin(trace, 0.0, -1.5, 1)
+
+    @pytest.mark.parametrize("transform", [
+        lambda trace, c: spectral_zeta_mellin(trace, 1.0, 2.0, 1,
+                                              coefficients=c).value,
+        lambda trace, c: hurwitz_zeta(trace, 2.0, 0.5, coefficients=c),
+        lambda trace, c: truncated_zeta(trace, 0.2, 2.0,
+                                        small_eigenvalues=[0.0, 0.1],
+                                        c_M=1.0, coefficients=c),
+        lambda trace, c: det_laplacian(trace, coefficients=c),
+        lambda trace, c: log_det_truncated(trace, [0.0, 0.1], 0.2, c_M=1.0,
+                                           coefficients=c),
+    ], ids=["spectral_zeta_mellin", "hurwitz_zeta", "truncated_zeta",
+            "det_laplacian", "log_det_truncated"])
+    def test_a_fit_counts_as_its_float_ladder(self, transform):
+        # one coefficient rule: supplied coefficients are subtracted in
+        # full, whatever their form
+        trace = finite_model_trace([0.0, 0.1, 0.5, 1.5, 4.0])
+        fit = heat_coefficients(trace, 1)
+        assert transform(trace, fit) == transform(trace, list(fit.b))
 
     def test_subtraction_depth_consistency(self, compact_surface):
         # values with n and n+1 subtractions agree where both are valid
@@ -525,18 +545,27 @@ class TestDegenerationExperiments:
         assert all(b < a for a, b in zip(diffs[:-1], diffs[1:]))
 
     def test_direct_route_agrees(self):
+        # reference: per member, the fitted truncated zeta of the standard
+        # trace minus the transform of the degenerating trace, each
+        # continued on its own
         template = SurfaceData(genus=0, num_cusps=1,
                                elliptic_orders=(2, 3, 10), degenerating=(2,),
                                length_spectrum=((1.0, 1),),
                                small_eigenvalues=(0.0, 0.05))
         fam = DegeneratingFamily(template=template, schedule=((10,), (20,)))
-        direct = degeneration_subtraction_zeta(fam, 0.1, 2.0, mode="zeta",
-                                               route="direct", tol=1e-11)
         diff = degeneration_subtraction_zeta(fam, 0.1, 2.0, mode="zeta",
                                              tol=1e-11)
-        for (q1, v1), (q2, v2) in zip(direct, diff):
-            assert q1 == q2
-            assert abs(v1 - v2) <= 1e-8 * (1 + abs(v2))
+        for member, (q, value) in zip(fam.members(), diff):
+            member_zeta = truncated_zeta(
+                as_array_fn(lambda t: standard_trace(member, t)), 0.1, 2.0,
+                small_eigenvalues=member.small_eigenvalues, c_M=0.0,
+                n_subtractions=1, tol=1e-11)
+            degenerating_zeta = spectral_zeta_mellin(
+                as_array_fn(lambda t: degenerating_trace(member, t)), 0.0,
+                2.0, 0, coefficients=[], tol=1e-11).value
+            direct = member_zeta - degenerating_zeta
+            assert q == float(math.prod(member.degenerating_orders))
+            assert abs(direct - value) <= 1e-8 * (1 + abs(value))
 
     def test_empty_degenerating_set_constant(self):
         template = SurfaceData(genus=0, num_cusps=1,
@@ -552,7 +581,5 @@ class TestDegenerationExperiments:
             degeneration_subtraction_zeta(hecke_like_family, 0.05, 2.0)
         with pytest.raises(DomainError):
             degeneration_subtraction_zeta(hecke_like_family, 0.3, 2.0)
-        for route in ("difference", "direct"):
-            with pytest.raises(DomainError):
-                degeneration_subtraction_zeta(hecke_like_family, 0.0, 2.0,
-                                              route=route)
+        with pytest.raises(DomainError):
+            degeneration_subtraction_zeta(hecke_like_family, 0.0, 2.0)

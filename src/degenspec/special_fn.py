@@ -7,18 +7,18 @@ with the step halved from 1/2 until two successive levels agree.  The first
 level is one array call of the integrand, the new nodes of levels 1-4 one
 more, and each later level one more; the nodes' abscissae and weights are
 tabulated once per level.  It serves the cone, plane-kernel and identity
-integrals, whose integrands are analytic in a strip.  An array of decay
-rates batches a family of such integrals, one row per entry (the heat-trace
-terms at every t of a grid or of a Mellin panel): each call is then on a
-(rows, nodes) array.
+integrals and the Mellin transforms of opaque traces in `zeta_det`, whose
+integrands are analytic in a strip.  An array of decay rates batches a
+family of such integrals, one row per entry (the heat-trace terms at every t
+of a grid or of a Mellin panel): each call is then on a (rows, nodes) array.
 
 Everything else goes to the adaptive engine: a 7-15 Gauss-Kronrod rule
 driven by worst-interval bisection.  Semi-infinite integrals are mapped onto
 [0, 1] with t = L*u/(1-u), where the scale L is chosen from the caller's
 exponential decay hint.  The rule never samples interval endpoints, so
-integrable endpoint singularities (Mellin weights t^{s-1}, inverse-square-root
-factors) are handled by plain subdivision.  The initial panel layout is one
-integrand call, and so is each bisection, on the nodes of both halves.
+integrable endpoint singularities, such as inverse-square-root factors, are
+handled by plain subdivision.  The initial panel layout is one integrand
+call, and so is each bisection, on the nodes of both halves.
 """
 
 from __future__ import annotations

@@ -2,18 +2,19 @@
 determinant of the Laplacian.
 
 The spectral zeta function is the Mellin transform of the heat trace minus
-its tail constant.  Meromorphic continuation follows the split-and-subtract
-scheme: the integral over [1, inf) is entire, and over [0, 1] the small-time
-expansion sum b_alpha t^alpha is subtracted term by term, each term adding
-back the explicit rational piece b_alpha/(Gamma(s)(s+alpha)).  The same core
-handles the Laplace-Mellin (Hurwitz) transform through an incomplete-gamma
-factor, and the regularized determinant is exp(-zeta'(0)) with the
-derivative taken by Richardson-refined central differences.  That route
-serves opaque traces and finite spectra, all set up one way: one truncation
-(_truncation) removes the listed modes lambda <= alpha, and one rule
-(_expansion_terms) gives the subtracted terms.  A surface goes term by term
-instead (surface_zeta, surface_log_det): HTr, ETr and the identity term each
-have an exact transform, so nothing there is fitted or differenced in s.
+its tail constant.  Meromorphic continuation subtracts each small-time term
+b_alpha t^alpha of the trace as b_alpha t^alpha e^{-t} P(t), P a Taylor
+polynomial of e^t, which transforms in closed form to a sum of ratios
+Gamma(s+alpha+j)/Gamma(s); the remainder is one exp-sinh integral over
+(0, inf) (_continued_mellin).  The same core handles the Laplace-Mellin
+(Hurwitz) transform, e^{-zt} in the weight, and the regularized determinant
+is exp(-zeta'(0)) with the derivative taken by Richardson-refined central
+differences.  That route serves opaque traces and finite spectra, all set
+up one way: one truncation (_truncation) removes the listed modes lambda <=
+alpha, and one rule (_expansion_terms) gives the subtracted terms.  A
+surface goes term by term instead (surface_zeta, surface_log_det): HTr, ETr
+and the identity term each have an exact transform, so nothing there is
+fitted or differenced in s.
 """
 
 from __future__ import annotations
@@ -23,16 +24,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammainc, gammaincc
 
 from .errors import (ConvergenceError, DivergenceError, DomainError,
                      ExpansionMismatchError, FitError,
-                     InsufficientSubtractionsError, PoleError,
-                     StripViolationError)
+                     InsufficientSubtractionsError, NonFiniteIntegrandError,
+                     PoleError, QuadratureError, StripViolationError)
 from .geometry import DegeneratingFamily, SurfaceData
 # unused here: bench/tracing.py wraps heat_kernel_h at this binding
 from .hplane import heat_kernel_h
+# integrate_finite is unused here: bench/tracing.py wraps it at this binding
 from .special_fn import (as_array_fn, integrate_finite, integrate_semi_infinite,
-                         reciprocal_gamma)
+                         log_gamma, reciprocal_gamma)
 from .traces import (_cone_series, _removed_eigenvalues, elliptic_trace_u,
                      geodesic_sum, hyperbolic_trace)
 
@@ -53,8 +56,7 @@ __all__ = [
 ]
 
 _POLE_EPS = 1e-9
-# where the continued Mellin integral passes from its small-t to its tail part
-_SPLIT = 1.0
+_EPS = float(np.finfo(float).eps)
 # residual floor of the heat-coefficient fit, in units of max|t trace(t)|
 _FIT_FLOOR = 64.0 * np.finfo(float).eps
 # small-t samples, a factor 4 apart, on which supplied coefficients are
@@ -132,55 +134,6 @@ def spectral_zeta_series(eigenvalues, s, *, growth: float | None = None,
                            f"below {tol}")
 
 
-def _inv_gamma_over(s: complex, alpha: float) -> complex:
-    """1/(Gamma(s) (s + alpha)), stable at the removable points.
-
-    For integer alpha = k >= 0 the zero of 1/Gamma at s = -k cancels the
-    denominator; the recurrence form makes that cancellation explicit.
-    """
-    s = complex(s)
-    k = round(alpha)
-    if abs(alpha - k) < 1e-12 and k >= 0:
-        K = max(k + 1, int(math.ceil(0.5 - s.real)) + 1)
-        prod = 1.0 + 0.0j
-        for j in range(0, K + 1):
-            if j != k:
-                prod *= (s + j)
-        return prod * reciprocal_gamma(s + K + 1)
-    if abs(s + alpha) < _POLE_EPS:
-        raise PoleError(f"evaluation at the pole s = {-alpha}")
-    return reciprocal_gamma(s) / (s + alpha)
-
-
-def _kummer_tail(a: complex, x: complex, max_terms: int = 400) -> complex:
-    """1 + sum_{m>=1} x^m / ((a+1)(a+2)...(a+m)); with the prefactor
-    e^{-x} (split^a / (Gamma(s) a)) it yields the truncated-interval moment
-    int_0^split t^{a-1} e^{-zt} dt / Gamma(s)."""
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for m in range(1, max_terms + 1):
-        denom = a + m
-        if abs(denom) < _POLE_EPS:
-            raise PoleError(f"incomplete-gamma series pole at a = {-m}")
-        term *= x / denom
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            return total
-    raise ConvergenceError("incomplete-gamma series did not converge; "
-                           f"|x| = {abs(x)} too large")
-
-
-def _weighted_sub_term(s: complex, alpha: float, b: float, split: float,
-                       z: complex) -> complex:
-    """(1/Gamma(s)) * b * int_0^split t^{alpha+s-1} e^{-zt} dt."""
-    if b == 0.0:
-        return 0.0 + 0.0j
-    a = s + alpha
-    x = z * split
-    return (b * split ** a * np.exp(-x) * _kummer_tail(a, x)
-            * _inv_gamma_over(s, alpha))
-
-
 def _normalize_terms(coefficients) -> list:
     """Normalize a coefficient spec into (power, value) pairs.
 
@@ -202,9 +155,9 @@ def _check_terms(trace: Callable, terms: list) -> None:
     """Check supplied expansion terms against the trace at small t.
 
     The remainder trace(t) - sum b_alpha t^alpha must fall off like
-    t^{max alpha + 1}: that is what the remainder cutoff t_lo in
-    `_continued_mellin` assumes when it drops the integral below t_lo.  On
-    samples a factor 4 apart, the remainder may not keep shrinking by less
+    t^{max alpha + 1}, the order `_continued_mellin` sets its subtractions
+    to and integrates against t^{s-1} at t -> 0.  On samples a factor 4
+    apart, the remainder may not keep shrinking by less
     than sqrt(4) * 4^{-(max alpha + 1)} per step while it lies above the
     noise level _CHECK_NOISE * max(1, |trace|).  A remainder that does so at
     every step raises ExpansionMismatchError carrying the remainder and the
@@ -229,65 +182,112 @@ def _check_terms(trace: Callable, terms: list) -> None:
             remainder=float(remainder[-1]), t=float(t[-1]))
 
 
+def _gamma_ratio(s: complex, a: float) -> complex:
+    """Gamma(s + a)/Gamma(s), PoleError within _POLE_EPS of a pole.  An
+    integer shift a = m is the polynomial s (s+1) ... (s+m-1), or for m < 0
+    the reciprocal of (s-1) ... (s+m), exact at the zero s = 0 and the pole
+    s = 1; otherwise s is raised by n so that both Gammas take Re > 1/2."""
+    m = round(a)
+    integer = abs(a - m) < 1e-12
+    n = 0 if integer else max(0, math.ceil(0.5 - min(s.real, s.real + a)))
+    for pole in range(1, 1 - m) if integer else [-a - j for j in range(n)]:
+        if abs(s - pole) < _POLE_EPS:
+            raise PoleError(f"Gamma(s + {a:g}) has a pole at s = {pole:g}")
+    if integer:
+        return complex(math.prod((s + j for j in range(m)), start=1.0)
+                       / math.prod((s - j for j in range(1, 1 - m)), start=1))
+    return complex(np.exp(log_gamma(s + a + n) - log_gamma(s + n))
+                   * math.prod(((s + j) / (s + a + j) for j in range(n)),
+                               start=1.0))
+
+
 def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
-                      tol: float, tail_decay: float,
-                      z: complex = 0.0) -> tuple:
+                      tol: float, tail_decay: float, z: complex = 0.0,
+                      removed=()) -> tuple:
     """Continued (1/Gamma(s)) int_0^inf [trace(t) - c_M] e^{-zt} t^{s-1} dt.
 
-    Returns (value, pole_flag).  `terms` lists the subtracted small-time
-    powers of the trace; the tail constant c_M is removed through its own
-    power-0 term on [0, _SPLIT] and directly on [_SPLIT, inf).
-    """
-    s = complex(s)
-    z = complex(z)
-    total = 0.0 + 0.0j
-    pole_flag = None
-    for alpha, b in terms:
-        if abs(alpha + 1.0) < 1e-12 and b != 0.0:
-            pole_flag = (1.0, b)
-            if abs(s - 1.0) < _POLE_EPS:
-                raise PoleError(
-                    f"zeta has a simple pole at s = 1 with residue {b}")
-        total += _weighted_sub_term(s, alpha, b, _SPLIT, z)
-    if c_M != 0.0:
-        total -= _weighted_sub_term(s, 0.0, c_M, _SPLIT, z)
+    Returns (value, pole_flag).  `terms` are the powers b_alpha t^alpha that
+    match the trace to O(t^{n_rem}), n_rem = max alpha + 1; -c_M joins them
+    as a power 0.  Each is subtracted as b_alpha t^alpha e^{-t} P_k(t), P_k
+    the degree k - 1 Taylor polynomial of e^t, k = max(1, ceil(n_rem -
+    alpha)), and added back as b_alpha sum_{j<k} Gamma(s+alpha+j)/(j!
+    Gamma(s)) (1+z)^{-(s+alpha+j)}.  The rest is one exp-sinh integral, to
+    tol/(2 max(1, |1/Gamma(s)|)): below t = 1 of (trace - sum b_alpha
+    t^alpha) + sum b_alpha t^alpha P(k, t), P the regularized incomplete
+    gamma, clean where the trace equals its expansion; above of trace - c_M
+    - sum b_alpha t^alpha e^{-t} P_k(t).
 
+    A b_alpha with alpha + Re(s) <= 0 leaves a rounding or fitting error
+    eps |b_alpha| t^{alpha + Re s - 1}, not integrable at 0: the first
+    bracket is 0 below t_lo <= 1e-4, the larger of tol^{1/(n_rem + Re s)}
+    and the t from which that error integrates to the tolerance on [t, 1].
+    Above t = 1, trace - c_M within 8 eps (|trace| + sum e^{-lambda t}) of
+    the subtraction of the `removed` modes (_truncation) is noise, taken as
+    0, and elsewhere that rounding counts in the error: QuadratureError
+    carries value and error when |1/Gamma(s)| times the error passes tol."""
+    s, z = complex(s), complex(z)
+    trace = as_array_fn(trace)
+    expansion = [(alpha, b) for alpha, b in terms if b != 0.0]
+    pole_flag = next(((1.0, b) for alpha, b in expansion
+                      if abs(alpha + 1.0) < 1e-12), None)
+    n_rem = max((alpha for alpha, _ in terms), default=-1.0) + 1.0
+    subtracted = [(alpha, b, max(1, math.ceil(n_rem - alpha - 1e-9)))
+                  for alpha, b in expansion + [(0.0, -c_M)] if b != 0.0]
+    # PoleError at the poles of the Gamma(s + alpha + j), s = 1 for b_{-1}
+    added = sum(b * _gamma_ratio(s, alpha + j) / math.factorial(j)
+                * np.exp(-(s + alpha + j) * np.log(1.0 + z))
+                for alpha, b, k in subtracted for j in range(k))
     rg = reciprocal_gamma(s)
-
-    def low_integrand(t: np.ndarray):
-        base = np.asarray(trace(t), dtype=float) + 0.0j
-        for alpha, b in terms:
-            if b != 0.0:
-                base = base - b * t ** alpha
-        w = np.exp((s - 1.0) * np.log(t))
-        if z != 0.0:
-            w = w * np.exp(-z * t)
-        return base * w
-
-    # Left of Re(s) = 1/2 the remainder integral starts at a cutoff t_lo
-    # below which the true remainder O(t^{n_rem}) contributes under tol;
-    # integrating fitted coefficients all the way to 0 would otherwise
-    # accumulate their (formally divergent) sub-tolerance mismatch.
+    # half of tol for the integral, half for the rounding counted with it
+    tol_int = 0.5 * tol / max(1.0, abs(rg))
     t_lo = 0.0
-    if terms and s.real < 0.5:
-        n_rem = max(alpha for alpha, _ in terms) + 1.0
-        exponent = n_rem + s.real
-        if exponent > 0:
-            t_lo = min(1e-4, tol ** (1.0 / exponent), 0.01 * _SPLIT)
-    low = integrate_finite(low_integrand, t_lo, _SPLIT, tol)
-    total += rg * low.value
+    for alpha, b in expansion:
+        x, ratio = alpha + s.real, tol_int / (_EPS * abs(b))
+        if x <= 0.0:
+            t_lo = max(t_lo, tol ** (1.0 / max(n_rem + s.real, _EPS)),
+                       math.exp(math.log1p(-x * ratio) / x if x else -ratio))
+    t_lo = min(t_lo, 1e-4)
+    rounding = []  # (t >= 1, |weight t| times the rounding kept there)
 
-    def high_integrand(x: np.ndarray):
-        t = _SPLIT + x
-        base = np.asarray(trace(t), dtype=float) - c_M + 0.0j
-        w = np.exp((s - 1.0) * np.log(t))
-        if z != 0.0:
-            w = w * np.exp(-z * t)
-        return base * w
+    def integrand(t: np.ndarray):
+        values = np.asarray(trace(t), dtype=float)
+        weight = np.exp((s - 1.0) * np.log(t) - z * t)
+        low = t < 1.0
+        tl, th = t[low], t[~low]
+        rem = np.where(tl < t_lo, 0.0, values[low] - sum(
+            b * tl ** alpha for alpha, b in expansion))
+        high = values[~low] - c_M
+        if removed:
+            noise = _EPS * (np.abs(values[~low])
+                            + sum(np.exp(-lam * th) for lam in removed))
+            high = np.where(np.abs(high) > 8.0 * noise, high, 0.0)
+            rounding.append((th, np.where(high != 0.0, noise, 0.0)
+                             * np.abs(weight[~low] * th)))
+        for alpha, b, k in subtracted:
+            rem = rem + b * tl ** alpha * gammainc(k, tl)
+            high = high - b * th ** alpha * gammaincc(k, th)
+        out = np.empty(t.shape, dtype=complex)
+        out[low], out[~low] = rem, high
+        return out * weight
 
-    decay = max(tail_decay + z.real, 1e-3)
-    high = integrate_semi_infinite(high_integrand, decay=decay, tol=tol)
-    total += rg * high.value
+    try:
+        res = integrate_semi_infinite(
+            integrand, decay=max(min(tail_decay, 1.0) + z.real, 1e-3),
+            tol=tol_int, rule="exp-sinh")
+    except NonFiniteIntegrandError:
+        raise
+    except QuadratureError as exc:
+        res = exc  # its last level, judged like a result below
+    error = res.error_estimate
+    if rounding:
+        t, y = (np.concatenate(part) for part in zip(*rounding))
+        order = np.argsort(t)
+        error += float(np.trapezoid(y[order], np.log(t[order])))
+    total, error = added + rg * res.value, abs(rg) * error
+    if error > tol:
+        raise QuadratureError(
+            f"continued Mellin transform at s = {s}: error estimate "
+            f"{error:.3g} > tol {tol:.3g}", value=total, error_estimate=error)
     return total, pole_flag
 
 
@@ -422,8 +422,8 @@ def _adjust_terms_for_modes(terms: list, lambdas) -> list:
 
     Powers the caller did not supply stay absent.  Adding mode-only terms
     above the supplied powers would claim a remainder of higher order than
-    the truncated trace has, and the remainder cutoff t_lo would then drop
-    a piece that matters.
+    the truncated trace has, and `_continued_mellin` would then integrate a
+    remainder against t^{s-1} where it is not integrable.
     """
     lambdas = [float(x) for x in lambdas]
     adjusted = []
@@ -499,22 +499,20 @@ def hurwitz_zeta(spectral_input, s, z, *, stage: int = 0, c_M: float = 1.0,
     return complex(head + value)
 
 
-def _truncation(trace: Callable, small_eigenvalues, alpha: float, c_M: float,
+def _truncation(trace: Callable, small_eigenvalues, alpha: float,
                 tail_decay: float) -> tuple:
-    """(truncated trace, removed modes, tail constant, tail rate) of `trace`
-    less the listed modes lambda <= alpha, alpha in (0, 1/4): each removed
-    zero mode lowers c_M by one, each removed positive mode caps the rate."""
-    removed = _removed_eigenvalues(small_eigenvalues, alpha, closed_below=False)
+    """(truncated trace, removed modes, tail rate) of `trace` less the
+    listed positive modes lambda <= alpha, alpha in (0, 1/4): each removed
+    mode caps the rate.  Listed zero modes need no removal: the tail
+    constant c_M drops them already."""
+    removed = [lam for lam in _removed_eigenvalues(
+        small_eigenvalues, alpha, closed_below=False) if lam > 0.0]
 
     def truncated(t: np.ndarray):
-        base = np.asarray(trace(t), dtype=float)
-        for lam in removed:
-            base = base - np.exp(-lam * np.asarray(t, dtype=float))
-        return base
+        return np.asarray(trace(t), dtype=float) - sum(
+            np.exp(-lam * t) for lam in removed)
 
-    return (truncated, removed,
-            c_M - sum(1.0 for lam in removed if lam == 0.0),
-            min([tail_decay] + [lam for lam in removed if lam > 0]))
+    return truncated, removed, min([tail_decay] + removed)
 
 
 def truncated_zeta(spectral_input, alpha: float, s, *,
@@ -527,17 +525,18 @@ def truncated_zeta(spectral_input, alpha: float, s, *,
     the listed small eigenvalues <= alpha are subtracted from the trace and
     the Mellin machinery runs on the remainder.  c_M is the tail constant
     (t -> infinity limit) of the *full* trace, as in spectral_zeta_mellin;
-    each subtracted zero mode is removed from it here.  Supplied
+    subtracting it removes the zero modes.  Supplied
     coefficients describe the full trace too: their integer powers p >= 0
     are shifted for the subtracted modes and the result is checked against
     the truncated trace at small t.
     """
     s = complex(s)
     if callable(spectral_input):
-        trace, removed, c_M, tail_decay = _truncation(
-            spectral_input, small_eigenvalues, alpha, c_M, tail_decay)
+        trace, removed, tail_decay = _truncation(
+            spectral_input, small_eigenvalues, alpha, tail_decay)
         terms = _expansion_terms(trace, coefficients, n_subtractions, removed)
-        value, _ = _continued_mellin(trace, s, terms, c_M, tol, tail_decay)
+        value, _ = _continued_mellin(trace, s, terms, c_M, tol, tail_decay,
+                                     removed=removed)
         return complex(value)
     lams = [float(x) for x in spectral_input]
     _removed_eigenvalues(lams, alpha, closed_below=False)
@@ -601,11 +600,11 @@ def log_det_truncated(trace: Callable, small_eigenvalues, alpha: float, *,
     added), and the result is checked against the truncated trace at small
     t, raising ExpansionMismatchError on a mismatch.
     """
-    trace, removed, c_M, tail_decay = _truncation(
-        trace, small_eigenvalues, alpha, c_M, tail_decay)
+    trace, removed, tail_decay = _truncation(
+        trace, small_eigenvalues, alpha, tail_decay)
     terms = _expansion_terms(trace, coefficients, n_subtractions, removed)
     return -_derivative_at_zero(lambda s: _continued_mellin(
-        trace, s, terms, c_M, tol, tail_decay)[0], h)
+        trace, s, terms, c_M, tol, tail_decay, removed=removed)[0], h)
 
 
 def _identity_zeta(vol: float, s, z, tol: float) -> complex:

@@ -19,7 +19,7 @@ from degenspec import zeta_det
 from degenspec.errors import (AlphaCollisionError, DivergenceError,
                               DomainError, ExpansionMismatchError, FitError,
                               InsufficientSubtractionsError, PoleError,
-                              StripViolationError)
+                              QuadratureError, StripViolationError)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.special_fn import as_array_fn, integrate_semi_infinite
 from degenspec.traces import (degenerating_trace, elliptic_trace_u,
@@ -38,6 +38,8 @@ from mp_reference import (circle_theta, finite_model_trace, mp_elliptic_zeta,
 
 SQRT_PI = math.sqrt(math.pi)
 CIRCLE_COEFFS = [(-0.5, SQRT_PI)]
+# a finite spectrum with its exact ladder b_{-1} = 0, b_0 = 5
+FIVE_MODES = [0.7, 1.3, 2.9, 4.4, 5.1]
 
 
 def surface_trace(surface, tol=1e-12):
@@ -155,6 +157,29 @@ class TestMellin:
                                   coefficients=CIRCLE_COEFFS, tail_decay=1.0)
         assert ev.value.real == pytest.approx(2 * riemann_zeta(4.0), abs=1e-10)
 
+    @pytest.mark.parametrize("s", [0.426 + 3.68j, 0.175 + 3.93j, 0.3 + 1j,
+                                   0.12, 0.5 + 5j])
+    def test_exact_ladder_meets_tol(self, s):
+        # left of 1/2 and at |Gamma(s)| ~ 1e-3 the value meets tol against
+        # the Dirichlet sum: nothing is cut at small t, and the integral is
+        # held to tol |Gamma(s)|
+        value = spectral_zeta_mellin(finite_model_trace(FIVE_MODES), 0.0, s,
+                                     1, coefficients=[0.0, 5.0], tol=1e-10)
+        assert abs(value.value - spectral_zeta_series(FIVE_MODES, s)) <= 1e-10
+
+    def test_large_imaginary_part_raises(self):
+        # |1/Gamma(s)| = 7e12 amplifies the integral's rounding floor far
+        # past tol: a named error with the scaled estimate, not a value
+        s = 0.128 + 18.75j
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError) as info:
+            spectral_zeta_mellin(finite_model_trace(FIVE_MODES), 0.0, s, 1,
+                                 coefficients=[0.0, 5.0], tol=1e-10)
+        assert time.perf_counter() - start < 0.05
+        assert info.value.error_estimate > 1e-10
+        assert abs(info.value.value - spectral_zeta_series(FIVE_MODES, s)) \
+            <= info.value.error_estimate
+
     def test_insufficient_subtractions(self):
         trace = finite_model_trace([1.0])
         with pytest.raises(InsufficientSubtractionsError):
@@ -190,6 +215,34 @@ class TestMellin:
         v3 = spectral_zeta_mellin(trace, 0.0, 1.6, 2,
                                   coefficients=coeffs).value
         assert abs(v2 - v3) <= 1e-9 * (1 + abs(v2))
+
+
+class TestGammaRatio:
+    """Gamma(s + a)/Gamma(s), the closed-form add-back of each subtraction."""
+
+    @pytest.mark.parametrize("a", [-2.0, -1.0, 0.0, 1.0, 3.0, -1.5, -0.5,
+                                   0.5, 2.5, 0.3])
+    @pytest.mark.parametrize("s", [0.0, 1e-13, 1e-4, -1e-4, 0.5, -0.5, 1.0,
+                                   2.0, -0.7 + 2j, 0.3 + 4j, 1.5 + 19j])
+    def test_against_mpmath(self, s, a):
+        # mpmath's gammaprod takes the limit where poles cancel, and is
+        # infinite at an uncancelled pole of Gamma(s + a)
+        s = complex(s)
+        with mp.workdps(30):
+            want = mp.gammaprod([mp.mpc(s) + a], [mp.mpc(s)])
+        if mp.isinf(want):
+            with pytest.raises(PoleError):
+                zeta_det._gamma_ratio(s, a)
+            return
+        got = zeta_det._gamma_ratio(s, a)
+        assert abs(got - complex(want)) <= 1e-14 * max(1.0, abs(want))
+
+    def test_integer_shifts_are_exact(self):
+        # the s = +-h of the log-det difference and the pole at s = 1
+        for s in (1e-4, -1e-4, 1.0 + 1e-4):
+            assert zeta_det._gamma_ratio(s, 0.0) == 1.0
+            assert zeta_det._gamma_ratio(s, 1.0) == s
+            assert zeta_det._gamma_ratio(s, -1.0) == 1.0 / (s - 1.0)
 
 
 class TestHeatCoefficients:
@@ -296,6 +349,24 @@ class TestTruncatedZeta:
                              coefficients=[(-1.0, 0.0)], tail_decay=1.0)
         direct = truncated_zeta(eigs, 0.1, 2.0)
         assert abs(val - direct) <= 1e-8 * (1 + abs(direct))
+
+    @pytest.mark.parametrize("s", [0.3, 2.0, 3.0, 4.0, 2.0 + 3j, 3.0 + 5j,
+                                   1.2 + 7j, 3.0 + 10j])
+    def test_trace_route_meets_tol_or_raises(self, s):
+        # the removed 0.05 mode leaves the truncated trace at the rounding
+        # of the full one, ~eps, far past where its true value e^{-t} has
+        # died, and the weight t^{s-1} raises that noise
+        trace = finite_model_trace([0.0, 0.05, 1.0, 2.0])
+        exact = 1.0 + 2.0 ** -s
+        try:
+            value = truncated_zeta(trace, 0.1, s, small_eigenvalues=[0.0, 0.05],
+                                   c_M=1.0, coefficients=[(-1.0, 0.0)],
+                                   tol=1e-10, tail_decay=1.0)
+        except QuadratureError as err:
+            assert err.error_estimate > 1e-10
+            assert abs(err.value - exact) <= err.error_estimate
+        else:
+            assert abs(value - exact) <= 1e-10
 
 
 class TestDeterminant:

@@ -204,27 +204,28 @@ def _gamma_ratio(s: complex, a: float) -> complex:
 def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
                       tol: float, tail_decay: float, z: complex = 0.0,
                       removed=()) -> tuple:
-    """Continued (1/Gamma(s)) int_0^inf [trace(t) - c_M] e^{-zt} t^{s-1} dt.
+    """Continued (1/Gamma(s)) int_0^inf [trace(t) - c_M] e^{-zt} t^{s-1} dt
+    and the pole flag.
 
-    Returns (value, pole_flag).  `terms` are the powers b_alpha t^alpha that
-    match the trace to O(t^{n_rem}), n_rem = max alpha + 1; -c_M joins them
-    as a power 0.  Each is subtracted as b_alpha t^alpha e^{-t} P_k(t), P_k
-    the degree k - 1 Taylor polynomial of e^t, k = max(1, ceil(n_rem -
-    alpha)), and added back as b_alpha sum_{j<k} Gamma(s+alpha+j)/(j!
-    Gamma(s)) (1+z)^{-(s+alpha+j)}.  The rest is one exp-sinh integral, to
-    tol/(2 max(1, |1/Gamma(s)|)): below t = 1 of (trace - sum b_alpha
-    t^alpha) + sum b_alpha t^alpha P(k, t), P the regularized incomplete
-    gamma, clean where the trace equals its expansion; above of trace - c_M
-    - sum b_alpha t^alpha e^{-t} P_k(t).
+    `terms` match the trace to O(t^{n_rem}), n_rem = max alpha + 1; -c_M is
+    one more power 0.  Each b_alpha t^alpha goes as b_alpha t^alpha e^{-t}
+    P_k(t), P_k the degree k - 1 Taylor polynomial of e^t, k = max(1,
+    ceil(n_rem - alpha)), and comes back as b_alpha sum_{j<k}
+    Gamma(s+alpha+j)/(j! Gamma(s)) (1+z)^{-(s+alpha+j)}.  The rest is one
+    exp-sinh integral to tol/(2 max(1, |1/Gamma(s)|)): below t = 1 of
+    (trace - sum b_alpha t^alpha) + sum b_alpha t^alpha P(k, t), P the
+    regularized incomplete gamma, clean where the trace equals its
+    expansion; above of trace - c_M - sum b_alpha t^alpha e^{-t} P_k(t).
 
-    A b_alpha with alpha + Re(s) <= 0 leaves a rounding or fitting error
-    eps |b_alpha| t^{alpha + Re s - 1}, not integrable at 0: the first
-    bracket is 0 below t_lo <= 1e-4, the larger of tol^{1/(n_rem + Re s)}
-    and the t from which that error integrates to the tolerance on [t, 1].
-    Above t = 1, trace - c_M within 8 eps (|trace| + sum e^{-lambda t}) of
-    the subtraction of the `removed` modes (_truncation) is noise, taken as
-    0, and elsewhere that rounding counts in the error: QuadratureError
-    carries value and error when |1/Gamma(s)| times the error passes tol."""
+    A b_alpha with alpha + Re(s) <= 0 leaves an error eps |b_alpha|
+    t^{alpha + Re s - 1} not integrable at 0.  Below t_lo <= 1e-4, the
+    larger of tol^{1/(n_rem + Re s)} and the t from which that error
+    integrates to the tolerance on [t, 1], the first bracket is its value at
+    t_lo times (t/t_lo)^{n_rem}.  Above t = 1, trace - c_M within 8 eps (|trace| + sum
+    e^{-lambda t}) of the subtraction of the `removed` modes (_truncation)
+    is noise, taken as 0; elsewhere that rounding counts in the error.
+    QuadratureError carries value and error when |1/Gamma(s)| times the
+    error passes tol."""
     s, z = complex(s), complex(z)
     trace = as_array_fn(trace)
     expansion = [(alpha, b) for alpha, b in terms if b != 0.0]
@@ -246,7 +247,10 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
         if x <= 0.0:
             t_lo = max(t_lo, tol ** (1.0 / max(n_rem + s.real, _EPS)),
                        math.exp(math.log1p(-x * ratio) / x if x else -ratio))
-    t_lo = min(t_lo, 1e-4)
+    t_lo, rem_lo = min(t_lo, 1e-4), 0.0
+    if t_lo:
+        rem_lo = float(trace(np.array([t_lo]))[0]) - sum(
+            b * t_lo ** alpha for alpha, b in expansion)
     rounding = []  # (t >= 1, |weight t| times the rounding kept there)
 
     def integrand(t: np.ndarray):
@@ -254,8 +258,8 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
         weight = np.exp((s - 1.0) * np.log(t) - z * t)
         low = t < 1.0
         tl, th = t[low], t[~low]
-        rem = np.where(tl < t_lo, 0.0, values[low] - sum(
-            b * tl ** alpha for alpha, b in expansion))
+        rem = values[low] - sum(b * tl ** alpha for alpha, b in expansion)
+        rem = np.where(tl < t_lo, rem_lo * (tl / t_lo) ** n_rem, rem)
         high = values[~low] - c_M
         if removed:
             noise = _EPS * (np.abs(values[~low])
@@ -425,7 +429,6 @@ def _adjust_terms_for_modes(terms: list, lambdas) -> list:
     the truncated trace has, and `_continued_mellin` would then integrate a
     remainder against t^{s-1} where it is not integrable.
     """
-    lambdas = [float(x) for x in lambdas]
     adjusted = []
     for a, b in terms:
         p = round(a)
@@ -499,12 +502,10 @@ def hurwitz_zeta(spectral_input, s, z, *, stage: int = 0, c_M: float = 1.0,
     return complex(head + value)
 
 
-def _truncation(trace: Callable, small_eigenvalues, alpha: float,
-                tail_decay: float) -> tuple:
-    """(truncated trace, removed modes, tail rate) of `trace` less the
-    listed positive modes lambda <= alpha, alpha in (0, 1/4): each removed
-    mode caps the rate.  Listed zero modes need no removal: the tail
-    constant c_M drops them already."""
+def _truncation(trace: Callable, small_eigenvalues, alpha: float) -> tuple:
+    """(truncated trace, removed modes) of `trace` less the listed positive
+    modes lambda <= alpha, alpha in (0, 1/4).  Listed zero modes need no
+    removal: the tail constant c_M drops them already."""
     removed = [lam for lam in _removed_eigenvalues(
         small_eigenvalues, alpha, closed_below=False) if lam > 0.0]
 
@@ -512,7 +513,7 @@ def _truncation(trace: Callable, small_eigenvalues, alpha: float,
         return np.asarray(trace(t), dtype=float) - sum(
             np.exp(-lam * t) for lam in removed)
 
-    return truncated, removed, min([tail_decay] + removed)
+    return truncated, removed
 
 
 def truncated_zeta(spectral_input, alpha: float, s, *,
@@ -532,8 +533,7 @@ def truncated_zeta(spectral_input, alpha: float, s, *,
     """
     s = complex(s)
     if callable(spectral_input):
-        trace, removed, tail_decay = _truncation(
-            spectral_input, small_eigenvalues, alpha, tail_decay)
+        trace, removed = _truncation(spectral_input, small_eigenvalues, alpha)
         terms = _expansion_terms(trace, coefficients, n_subtractions, removed)
         value, _ = _continued_mellin(trace, s, terms, c_M, tol, tail_decay,
                                      removed=removed)
@@ -600,8 +600,7 @@ def log_det_truncated(trace: Callable, small_eigenvalues, alpha: float, *,
     added), and the result is checked against the truncated trace at small
     t, raising ExpansionMismatchError on a mismatch.
     """
-    trace, removed, tail_decay = _truncation(
-        trace, small_eigenvalues, alpha, tail_decay)
+    trace, removed = _truncation(trace, small_eigenvalues, alpha)
     terms = _expansion_terms(trace, coefficients, n_subtractions, removed)
     return -_derivative_at_zero(lambda s: _continued_mellin(
         trace, s, terms, c_M, tol, tail_decay, removed=removed)[0], h)

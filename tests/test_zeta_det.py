@@ -23,7 +23,7 @@ from degenspec.errors import (AlphaCollisionError, DivergenceError,
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.special_fn import as_array_fn, integrate_semi_infinite
 from degenspec.traces import (degenerating_trace, elliptic_trace_u,
-                              standard_trace)
+                              identity_trace, standard_trace)
 from degenspec.zeta_det import (HeatCoefficients, ZetaEvaluation,
                                 degeneration_subtraction_zeta, det_laplacian,
                                 fit_trace_expansion, heat_coefficients,
@@ -416,6 +416,17 @@ class TestDeterminant:
                                 tail_decay=0.5)
         assert val == pytest.approx(sum(math.log(x) for x in eigs[1:]),
                                     abs=1e-8)
+
+    def test_identity_trace_log_det(self, bare_surface):
+        # b_{-1} = vol/4pi leaves rounding eps/t^2 in the remainder at
+        # s = +-h, which the cutoff keeps out of the integral; below it the
+        # remainder is taken as its leading power, O(t)
+        vol = bare_surface.volume
+        value = mellin_regularized_integral(
+            lambda t: identity_trace(vol, t, 1e-13), c_M=0.0,
+            coefficients=[(-1.0, vol / (4 * math.pi)),
+                          (0.0, -vol / (12 * math.pi))], tol=1e-10)
+        assert abs(value - mp_identity_zeta_prime_zero(vol)) <= 1e-10
 
     def test_regularized_integral_matches_literal(self):
         # for a trace vanishing at both ends the regularization equals the

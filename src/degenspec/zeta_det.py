@@ -220,12 +220,12 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
     A b_alpha with alpha + Re(s) <= 0 leaves an error eps |b_alpha|
     t^{alpha + Re s - 1} not integrable at 0.  Below t_lo <= 1e-4, the
     larger of tol^{1/(n_rem + Re s)} and the t from which that error
-    integrates to the tolerance on [t, 1], the first bracket is its value at
-    t_lo times (t/t_lo)^{n_rem}.  Above t = 1, trace - c_M within 8 eps (|trace| + sum
-    e^{-lambda t}) of the subtraction of the `removed` modes (_truncation)
-    is noise, taken as 0; elsewhere that rounding counts in the error.
-    QuadratureError carries value and error when |1/Gamma(s)| times the
-    error passes tol."""
+    integrates to the tolerance on [t, 1], the first bracket is its value
+    at t_lo times (t/t_lo)^{n_rem}.  Above t = 1, trace - c_M within 8 eps
+    (|trace| + sum e^{-lambda t}) of the subtraction of the `removed` modes
+    (_truncation) is noise, taken as 0; elsewhere that rounding counts in
+    the error.  QuadratureError carries value and error when |1/Gamma(s)|
+    times the error passes tol."""
     s, z = complex(s), complex(z)
     trace = as_array_fn(trace)
     expansion = [(alpha, b) for alpha, b in terms if b != 0.0]
@@ -426,8 +426,8 @@ def _adjust_terms_for_modes(terms: list, lambdas) -> list:
 
     Powers the caller did not supply stay absent.  Adding mode-only terms
     above the supplied powers would claim a remainder of higher order than
-    the truncated trace has, and `_continued_mellin` would then integrate a
-    remainder against t^{s-1} where it is not integrable.
+    the truncated trace has, and `_continued_mellin` would then take the
+    remainder below its cutoff t_lo as a power it does not have.
     """
     adjusted = []
     for a, b in terms:

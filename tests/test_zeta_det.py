@@ -359,9 +359,10 @@ class TestTruncatedZeta:
         trace = finite_model_trace([0.0, 0.05, 1.0, 2.0])
         exact = 1.0 + 2.0 ** -s
         try:
-            value = truncated_zeta(trace, 0.1, s, small_eigenvalues=[0.0, 0.05],
-                                   c_M=1.0, coefficients=[(-1.0, 0.0)],
-                                   tol=1e-10, tail_decay=1.0)
+            value = truncated_zeta(trace, 0.1, s,
+                                   small_eigenvalues=[0.0, 0.05], c_M=1.0,
+                                   coefficients=[(-1.0, 0.0)], tol=1e-10,
+                                   tail_decay=1.0)
         except QuadratureError as err:
             assert err.error_estimate > 1e-10
             assert abs(err.value - exact) <= err.error_estimate

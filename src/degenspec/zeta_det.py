@@ -144,10 +144,8 @@ def _normalize_terms(coefficients) -> list:
         return coefficients.pairs()
     pairs = []
     for entry in coefficients:
-        if np.isscalar(entry):
-            pairs.append((len(pairs) - 1, float(entry)))
-        else:
-            pairs.append((float(entry[0]), float(entry[1])))
+        pairs.append((len(pairs) - 1, float(entry)) if np.isscalar(entry)
+                     else (float(entry[0]), float(entry[1])))
     return pairs
 
 
@@ -207,71 +205,84 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
     """Continued (1/Gamma(s)) int_0^inf [trace(t) - c_M] e^{-zt} t^{s-1} dt
     and the pole flag.
 
-    `terms` match the trace to O(t^{n_rem}), n_rem = max alpha + 1; -c_M is
-    one more power 0.  Each b_alpha t^alpha goes as b_alpha t^alpha e^{-t}
-    P_k(t), P_k the degree k - 1 Taylor polynomial of e^t, k = max(1,
-    ceil(n_rem - alpha)), and comes back as b_alpha sum_{j<k}
-    Gamma(s+alpha+j)/(j! Gamma(s)) (1+z)^{-(s+alpha+j)}.  The rest is one
-    exp-sinh integral to tol/(2 max(1, |1/Gamma(s)|)): below t = 1 of
-    (trace - sum b_alpha t^alpha) + sum b_alpha t^alpha P(k, t), P the
-    regularized incomplete gamma, clean where the trace equals its
-    expansion; above of trace - c_M - sum b_alpha t^alpha e^{-t} P_k(t).
+    `terms` match the trace to O(t^{n_rem}), n_rem = max alpha + 1, and
+    -c_M is one more power 0.  Each b_alpha t^alpha is subtracted as
+    b_alpha t^alpha e^{-t} P_k(t), P_k the degree k - 1 Taylor polynomial
+    of e^t, k = max(1, ceil(n_rem - alpha)), and added back as b_alpha
+    sum_{j<k} Gamma(s+alpha+j)/(j! Gamma(s)) (1+z)^{-(s+alpha+j)}.  The
+    rest is one exp-sinh integral to tol/(2 max(1, |1/Gamma(s)|)), written
+    below t = 1 with the regularized incomplete gamma P(k, t) so that it is
+    clean where the trace equals its expansion.
 
-    A b_alpha with alpha + Re(s) <= 0 leaves an error eps |b_alpha|
-    t^{alpha + Re s - 1} not integrable at 0.  Below t_lo <= 1e-4, the
-    larger of tol^{1/(n_rem + Re s)} and the t from which that error
-    integrates to the tolerance on [t, 1], the first bracket is its value
-    at t_lo times (t/t_lo)^{n_rem}.  Above t = 1, trace - c_M within 8 eps
-    (|trace| + sum e^{-lambda t}) of the subtraction of the `removed` modes
-    (_truncation) is noise, taken as 0; elsewhere that rounding counts in
-    the error.  QuadratureError carries value and error when |1/Gamma(s)|
-    times the error passes tol."""
+    Counted in its error: the rounding eps sum |b_alpha t^alpha| of the
+    subtraction below t = 1; above, for `removed` modes (_truncation), eps
+    (|trace| + sum e^{-lambda t}), trace - c_M within 8 times that taken
+    as 0; and below t_lo <= 1e-4, where alpha + Re s <= 0 makes that
+    rounding non-integrable and the first bracket is taken as its value at
+    t_lo times (t/t_lo)^{n_rem}, the rounding at t_lo and the next power
+    c t^{n_rem + 1}, seen at 4 t_lo.  t_lo is the larger of tol^{1/(n_rem +
+    Re s)} and the t above which the rounding integrates to a quarter of
+    the integral's tolerance.  QuadratureError carries value and error when
+    max(1, |1/Gamma(s)|) times the error passes tol: near s = 0 the error
+    stays in the integral's units, since the log det differences the
+    integrals there."""
     s, z = complex(s), complex(z)
     trace = as_array_fn(trace)
     expansion = [(alpha, b) for alpha, b in terms if b != 0.0]
     pole_flag = next(((1.0, b) for alpha, b in expansion
                       if abs(alpha + 1.0) < 1e-12), None)
+    if pole_flag and abs(s - 1.0) < _POLE_EPS:
+        raise PoleError(f"zeta has a simple pole at s = 1 with residue "
+                        f"{pole_flag[1]}")
     n_rem = max((alpha for alpha, _ in terms), default=-1.0) + 1.0
     subtracted = [(alpha, b, max(1, math.ceil(n_rem - alpha - 1e-9)))
                   for alpha, b in expansion + [(0.0, -c_M)] if b != 0.0]
-    # PoleError at the poles of the Gamma(s + alpha + j), s = 1 for b_{-1}
+    # PoleError at the other poles of the Gamma(s + alpha + j)
     added = sum(b * _gamma_ratio(s, alpha + j) / math.factorial(j)
                 * np.exp(-(s + alpha + j) * np.log(1.0 + z))
                 for alpha, b, k in subtracted for j in range(k))
     rg = reciprocal_gamma(s)
-    # half of tol for the integral, half for the rounding counted with it
     tol_int = 0.5 * tol / max(1.0, abs(rg))
     t_lo = 0.0
     for alpha, b in expansion:
-        x, ratio = alpha + s.real, tol_int / (_EPS * abs(b))
+        x, ratio = alpha + s.real, 0.25 * tol_int / (_EPS * abs(b))
         if x <= 0.0:
             t_lo = max(t_lo, tol ** (1.0 / max(n_rem + s.real, _EPS)),
                        math.exp(math.log1p(-x * ratio) / x if x else -ratio))
-    t_lo, rem_lo = min(t_lo, 1e-4), 0.0
+    t_lo, rem_lo, error = min(t_lo, 1e-4), 0.0, 0.0
     if t_lo:
-        rem_lo = float(trace(np.array([t_lo]))[0]) - sum(
-            b * t_lo ** alpha for alpha, b in expansion)
-    rounding = []  # (t >= 1, |weight t| times the rounding kept there)
+        at = np.array([t_lo, 4.0 * t_lo])
+        rem_lo, rem_4 = np.asarray(trace(at), dtype=float) - sum(
+            b * at ** alpha for alpha, b in expansion)
+        x, step = n_rem + s.real, 4.0 ** n_rem
+        error = t_lo ** s.real / x * (
+            abs(rem_4 - step * rem_lo) / (3.0 * step * (x + 1.0))
+            + _EPS * sum(abs(b) * t_lo ** alpha for alpha, b in expansion))
+    rounding = []  # (t, |weight t| times the rounding kept there)
 
     def integrand(t: np.ndarray):
         values = np.asarray(trace(t), dtype=float)
         weight = np.exp((s - 1.0) * np.log(t) - z * t)
         low = t < 1.0
         tl, th = t[low], t[~low]
-        rem = values[low] - sum(b * tl ** alpha for alpha, b in expansion)
-        rem = np.where(tl < t_lo, rem_lo * (tl / t_lo) ** n_rem, rem)
+        powers = [b * tl ** alpha for alpha, b in expansion]
+        rem, model = values[low] - sum(powers), tl < t_lo
+        if t_lo:
+            rem = np.where(model, rem_lo * (tl / t_lo) ** n_rem, rem)
+        kept = np.zeros(t.shape)
+        kept[low] = np.where(model, 0.0, _EPS * sum(map(np.abs, powers)))
         high = values[~low] - c_M
         if removed:
             noise = _EPS * (np.abs(values[~low])
                             + sum(np.exp(-lam * th) for lam in removed))
             high = np.where(np.abs(high) > 8.0 * noise, high, 0.0)
-            rounding.append((th, np.where(high != 0.0, noise, 0.0)
-                             * np.abs(weight[~low] * th)))
+            kept[~low] = np.where(high != 0.0, noise, 0.0)
         for alpha, b, k in subtracted:
             rem = rem + b * tl ** alpha * gammainc(k, tl)
             high = high - b * th ** alpha * gammaincc(k, th)
         out = np.empty(t.shape, dtype=complex)
         out[low], out[~low] = rem, high
+        rounding.append((t, kept * np.abs(weight * t)))
         return out * weight
 
     try:
@@ -282,12 +293,11 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
         raise
     except QuadratureError as exc:
         res = exc  # its last level, judged like a result below
-    error = res.error_estimate
-    if rounding:
-        t, y = (np.concatenate(part) for part in zip(*rounding))
-        order = np.argsort(t)
-        error += float(np.trapezoid(y[order], np.log(t[order])))
-    total, error = added + rg * res.value, abs(rg) * error
+    t, y = (np.concatenate(part) for part in zip(*rounding))
+    order = np.argsort(t)
+    error += res.error_estimate + float(np.trapezoid(y[order],
+                                                     np.log(t[order])))
+    total, error = added + rg * res.value, max(1.0, abs(rg)) * error
     if error > tol:
         raise QuadratureError(
             f"continued Mellin transform at s = {s}: error estimate "
@@ -457,19 +467,16 @@ def hurwitz_zeta(spectral_input, s, z, *, stage: int = 0, c_M: float = 1.0,
     error outside).  Trace providers use the Laplace-Mellin transform and
     require Re(z) > 0 (continuation proceeds in s at fixed z).
     """
-    s = complex(s)
-    z = complex(z)
+    s, z = complex(s), complex(z)
     if callable(spectral_input):
         if stage != 0:
             raise StripViolationError(
                 "trace input supports only stage 0 (Re(z) > 0)")
         if z.real <= 0 and z != 0:
-            raise StripViolationError(
-                f"trace input needs Re(z) > 0, got {z}")
+            raise StripViolationError(f"trace input needs Re(z) > 0, got {z}")
         terms = _expansion_terms(spectral_input, coefficients, n_subtractions)
-        value, _ = _continued_mellin(spectral_input, s, terms, c_M, tol,
-                                     tail_decay, z=z)
-        return complex(value)
+        return complex(_continued_mellin(spectral_input, s, terms, c_M, tol,
+                                         tail_decay, z=z)[0])
 
     lams = [float(x) for x in spectral_input]
     positive = [lam for lam in lams if lam > 0]
@@ -491,14 +498,9 @@ def hurwitz_zeta(spectral_input, s, z, *, stage: int = 0, c_M: float = 1.0,
     if not tail_lams:
         return complex(head)
     gaps = np.asarray([lam - shift for lam in tail_lams])
-
-    def tail_trace(t: np.ndarray):
-        tt = np.asarray(t, dtype=float)
-        return np.sum(np.exp(-np.outer(tt.ravel(), gaps)), axis=1).reshape(tt.shape)
-
-    value, _ = _continued_mellin(tail_trace, s, [], 0.0, tol,
-                                 tail_decay=float(gaps.min()),
-                                 z=z + shift)
+    value, _ = _continued_mellin(
+        lambda t: np.exp(-np.multiply.outer(t, gaps)).sum(axis=-1), s, [],
+        0.0, tol, tail_decay=float(gaps.min()), z=z + shift)
     return complex(head + value)
 
 
@@ -717,9 +719,8 @@ def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
     modes = _removed_positive_modes(family.template, alpha)
     if mode not in ("zeta", "hurwitz", "logdet"):
         raise DomainError(f"unknown mode '{mode}'")
-    if mode == "hurwitz":
-        if z is None or complex(z).real <= 0:
-            raise StripViolationError("hurwitz mode needs Re(z) > 0")
+    if mode == "hurwitz" and (z is None or complex(z).real <= 0):
+        raise StripViolationError("hurwitz mode needs Re(z) > 0")
     qprods = [float(math.prod(row)) for row in family.schedule]
     volumes = [member.volume for member in family.members()]
     template = family.template

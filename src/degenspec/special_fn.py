@@ -3,7 +3,9 @@
 integrate_semi_infinite(..., rule="exp-sinh") is a double-exponential rule
 (Takahasi-Mori 1974) for integrands known to be analytic on (0, inf): the
 map u = L exp((pi/2) sinh tau), L = 1/decay, and the trapezoid rule in tau,
-with the step halved from 1/2 until two successive levels agree.  The first
+with the step halved from 1/2 until two successive levels agree, or from
+level 4 on until the last difference, extrapolated, falls below the
+rounding of the sum.  The first
 level is one array call of the integrand, the new nodes of levels 1-4 one
 more, and each later level one more; the nodes' abscissae and weights are
 tabulated once per level.  It serves the cone, plane-kernel and identity
@@ -336,7 +338,13 @@ def _exp_sinh(f: Callable, decay, tol: float) -> QuadratureResult:
     are slices of tables built once per level (_de_level).  The result is
     the first level, from the third on, that agrees with the one before to
     tol, or to a few ulp of the integral of |f| where that is larger;
-    QuadratureError carries the last level if none does by h = 2^-16.
+    QuadratureError carries the last level if none does by h = 2^-16.  From
+    level _DE_AHEAD on, where the next level costs a call of f, a level
+    also stops when its difference d_k, extrapolated geometrically with
+    the ratio d_k/d_{k-1}, puts its own error below that rounding floor:
+    the level after it could only confirm it.  Without this the cost of an
+    integral jumps by a call of f on 16 nodes per first-level node wherever
+    the difference at level _DE_AHEAD lands just above tol.
 
     A 1-D array decay gives one integral per entry (a row): f is then
     called as f(u, rows), u of shape (len(rows), n) for the index array
@@ -459,6 +467,7 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
     floor = (_DE_ROUNDING * h * size[:, i:j + 1].sum(axis=1)).tolist()
     stop = [max(tol, x) for x in floor]
     error = [math.inf] * len(live)
+    step = [math.inf] * len(live)  # each row's last difference of levels
     place = list(range(len(live)))  # the running rows' places in the block
     for level in range(1, _DE_LEVELS):
         if level == 1 or level > _DE_AHEAD:
@@ -482,7 +491,16 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
         going = []
         for k, (r, p) in enumerate(zip(live, place)):
             previous, total[r] = total[r], 0.5 * total[r] + h * new[p]
-            error[r] = abs(total[r] - previous) + tail[r]
+            before, step[r] = step[r], abs(total[r] - previous)
+            error[r] = step[r] + tail[r]
+            if level >= _DE_AHEAD and error[r] > stop[r] and step[r] < before:
+                # past the look-ahead: the differences falling off by at
+                # least this ratio leave this level ratio/(1 - ratio) of
+                # its own; below the rounding floor, no level can do better
+                ratio = step[r] / before
+                guess = step[r] * ratio / (1.0 - ratio) + tail[r]
+                if guess <= floor[r]:
+                    error[r] = guess
             if level < 2 or error[r] > stop[r]:
                 going.append(k)
         if not going:

@@ -275,9 +275,10 @@ def test_paired_panels_keep_the_values_and_counts(kind, expr, args, value,
     assert set(calls[1:]) <= {30}
 
 
-def _gamma_batch(tol):
-    """Rows e^{-u}, u^3 e^{-u}, u^8 e^{-u}, which stop at successive levels."""
-    f = _gamma_rows([1.0, 1.0, 1.0], [0.0, 3.0, 8.0])
+def _gamma_batch(tol, top=8.0):
+    """Rows e^{-u}, u^3 e^{-u}, u^top e^{-u}, which stop at successive
+    levels."""
+    f = _gamma_rows([1.0, 1.0, 1.0], [0.0, 3.0, top])
     return lambda: integrate_exp_sinh(f, decay=np.ones(3), tol=tol)
 
 
@@ -307,9 +308,10 @@ LEVEL_BY_LEVEL = [
     ("rows-2-3-4", _gamma_batch(1e-4),
      [1.0000000004024605, 6.000000000000075, 40320.0],
      7.251255011331281e-06, 597, 2),
-    # rows stopping at levels 3, 4 and 5 (693 one level at a time)
-    ("rows-3-4-5", _gamma_batch(1e-8), [1.0, 6.000000000000001, 40320.0],
-     4.0246050936332267e-10, 789, 3),
+    # rows stopping at levels 3, 4 and 5 (693 one level at a time); u^8
+    # would stop at level 4 (test_a_level_below_the_rounding_floor_stops)
+    ("rows-3-4-5", _gamma_batch(1e-8, top=10.0),
+     [1.0, 6.000000000000001, 3628800.0], 2.532966186387056e-09, 789, 3),
 ]
 
 
@@ -339,6 +341,23 @@ def test_look_ahead_keeps_the_values_and_errors(monkeypatch, run, value,
     assert res.error_estimate == error
     assert res.evaluations == evaluations
     assert n == calls
+
+
+def test_a_level_below_the_rounding_floor_stops():
+    # u^8 e^{-u} at tol 1e-8: level 4 differs from level 3 by 4.6e-6, a
+    # ratio 3e-6 of the difference before, which puts its error at 1.4e-11,
+    # under the rounding floor 6.3e-11 of 8! = 40320: the look-ahead's two
+    # calls, where level 5 (a third call) only repeated level 4
+    calls = []
+
+    def f(u):
+        calls.append(u.size)
+        return u ** 8 * np.exp(-u)
+
+    res = integrate_exp_sinh(f, decay=1.0, tol=1e-8)
+    assert len(calls) == 2
+    assert res.error_estimate <= 1e-10
+    assert abs(res.value - 40320.0) <= res.error_estimate
 
 
 def test_a_nan_at_a_look_ahead_node_names_its_u():

@@ -550,6 +550,29 @@ class TestSurfaceTermByTerm:
                                      tol=1e-12)
         assert sizes[0] == 75 and set(sizes[1:]) == {30}
 
+    @pytest.mark.parametrize("s", [1.1669 + 2.2222j, 1.165 + 2.8403j,
+                                   1.3718 + 3.8506j, 1.1 + 4j])
+    def test_opaque_surface_trace_costs_the_same_at_every_s(self, s):
+        # the Mellin integral of an opaque surface trace right of 1 takes
+        # the coefficient check and the rule's two calls at each of these
+        # s; a third call, on 176 nodes, only repeated the level before
+        surface = SurfaceData(genus=1, num_cusps=0, elliptic_orders=(2, 3),
+                              length_spectrum=((1.299194, 3), (1.428376, 2),
+                                               (2.968455, 3), (3.747438, 2)))
+        vol = surface.volume
+        b0 = -vol / (12.0 * math.pi) + 1.0 / 8.0 + 2.0 / 9.0
+        sizes = []
+
+        def trace(t):
+            sizes.append(np.size(t))
+            return standard_trace(surface, t)
+
+        value = spectral_zeta_mellin(
+            trace, 0.0, s, 1, coefficients=[(-1.0, vol / (4.0 * math.pi)),
+                                            (0.0, b0)], tol=1e-12).value
+        assert len(sizes) == 3
+        assert abs(value - surface_zeta(surface, s, tol=1e-12)) <= 1e-12
+
     @pytest.mark.parametrize("s", [0.15 + 0.5j, 1.7 - 2.5j, 2.9 + 4j])
     def test_surface_zeta_against_r_integrals(self, compact_surface, s):
         value = surface_zeta(compact_surface, s, tol=1e-12)

@@ -347,7 +347,7 @@ def test_a_level_below_the_rounding_floor_stops():
     # u^8 e^{-u} at tol 1e-8: level 4 differs from level 3 by 4.6e-6, a
     # ratio 3e-6 of the difference before, which puts its error at 1.4e-11,
     # under the rounding floor 6.3e-11 of 8! = 40320: the look-ahead's two
-    # calls, where level 5 (a third call) only repeated level 4
+    # calls; level 5, a third call, would equal level 4
     calls = []
 
     def f(u):

@@ -555,7 +555,7 @@ class TestSurfaceTermByTerm:
     def test_opaque_surface_trace_costs_the_same_at_every_s(self, s):
         # the Mellin integral of an opaque surface trace right of 1 takes
         # the coefficient check and the rule's two calls at each of these
-        # s; a third call, on 176 nodes, only repeated the level before
+        # s; a third call would add 176 nodes and equal the level before
         surface = SurfaceData(genus=1, num_cusps=0, elliptic_orders=(2, 3),
                               length_spectrum=((1.299194, 3), (1.428376, 2),
                                                (2.968455, 3), (3.747438, 2)))

@@ -279,7 +279,7 @@ def _run_zeta(config: RunConfig) -> Table:
     rows = []
     for re_s in config.s_grid:
         value = zeta_det.surface_zeta(surface, complex(re_s, config.im_s),
-                                      tol=max(config.tol * 1e-2, 1e-12))
+                                      tol=max(config.tol * 0.1, 1e-11))
         # n_sub: the one small-time term (b_0) the elliptic part subtracts
         rows.append([re_s, config.im_s, value.real, value.imag, 1])
     return Table(columns=["re_s", "im_s", "re_val", "im_val", "n_sub"],

@@ -111,7 +111,8 @@ def selberg_logderiv_integral(lengths, s, tol: float = 1e-12) -> LogDerivEvaluat
                 / np.sqrt(16.0 * math.pi * t))
 
     rate = 0.25 + q.real
-    res = integrate_semi_infinite(integrand, decay=max(rate, 1e-3), tol=tol)
+    res = integrate_semi_infinite(integrand, decay=max(rate, 1e-3), tol=tol,
+                                  rule="exp-sinh")
     return LogDerivEvaluation(s=s, value=complex((2.0 * s - 1.0) * res.value),
                               representation="integral",
                               domain_certificate=cert)

@@ -404,7 +404,8 @@ def elliptic_trace_r(orders, t: float, tol: float = 1e-12) -> float:
             def integrand(r: np.ndarray, b=beta):
                 return np.exp(-t * r * r) * (fermi_weight(b, r) + fermi_weight(b, -r))
 
-            res = integrate_semi_infinite(integrand, decay=rate, tol=tol)
+            res = integrate_semi_infinite(integrand, decay=rate, tol=tol,
+                                          rule="exp-sinh")
             total += float(np.real(res.value)) / (2.0 * q * math.sin(n * math.pi / q))
     return math.exp(-t / 4.0) * total
 

@@ -11,10 +11,13 @@ Gamma(s+alpha+j)/Gamma(s); the remainder is one exp-sinh integral over
 is exp(-zeta'(0)) with the derivative taken by Richardson-refined central
 differences.  That route serves opaque traces and finite spectra, all set
 up one way: one truncation (_truncation) removes the listed modes lambda <=
-alpha, and one rule (_expansion_terms) gives the subtracted terms.  A
-surface goes term by term instead (surface_zeta, surface_log_det): HTr, ETr
-and the identity term each have an exact transform, so nothing there is
-fitted or differenced in s.
+alpha, and one rule (_expansion_terms) gives the subtracted terms.  It is
+the only Mellin integral here: a surface's HTr + ETr go through it too, with
+their exact b_0 (_geodesic_cone_zeta), the error judged in the value's
+units, so that at large |Im s| it raises QuadratureError.  The rest of a
+surface goes term by term (surface_zeta, surface_log_det): the identity
+term and zeta'(0) have exact transforms, so nothing there is fitted or
+differenced in s.
 """
 
 from __future__ import annotations
@@ -627,25 +630,20 @@ def _cone_b0(orders) -> float:
 
 
 def _geodesic_cone_zeta(lengths, orders, s, z, tol: float) -> complex:
-    """HTr + ETr at (s, z): b_0 (1/4 + z)^{-s} plus the Mellin integral of
-    HTr + ETr - b_0 e^{-t/4} over Gamma(s), run in w = sqrt(t) (a cone of
-    order q leaves b_0 with slope ~q^3, so t^s at 0 is steep) and held to
-    tol max(1, b_0).  The bracket is O(t) but its rounding noise, ~eps b_0,
-    is not, so with cones Re(s) > 0."""
-    s, z, b0 = complex(s), complex(z), _cone_b0(orders)
+    """HTr + ETr at (s, z): the continued Mellin transform of the batched
+    trace HTr + ETr with its one small-time term b_0 and tail constant 0,
+    the same exp-sinh integral as an opaque trace's (_continued_mellin),
+    its error judged in the value's units and held to tol max(1, b_0).
+    The remainder is O(t) but its rounding noise, ~eps b_0, is not, so with
+    cones Re(s) > 0.  At large |Im s|, where |1/Gamma(s)| magnifies the
+    integral's rounding past that tolerance, QuadratureError is raised."""
+    s, b0 = complex(s), _cone_b0(orders)
     if orders and s.real <= 0.0:
         raise DomainError(f"cone terms need Re(s) > 0, got s = {s}")
     tol *= max(1.0, b0)
-
-    def integrand(w: np.ndarray):
-        # each panel's nodes are one batched trace call
-        t = w * w
-        rest = (hyperbolic_trace(lengths, t) + elliptic_trace_u(orders, t, tol)
-                - b0 * np.exp(-0.25 * t))
-        return 2.0 * rest * np.exp((2.0 * s - 1.0) * np.log(w) - z * t)
-
-    res = integrate_semi_infinite(integrand, decay=0.5, tol=tol)
-    return complex(reciprocal_gamma(s) * res.value + b0 * np.exp(-s * np.log(0.25 + z)))
+    return complex(_continued_mellin(
+        lambda t: hyperbolic_trace(lengths, t) + elliptic_trace_u(orders, t, tol),
+        s, [(0.0, b0)], 0.0, tol, 0.25, z=z)[0])
 
 
 def _cone_zeta_prime_zero(orders, tol: float) -> float:
@@ -680,7 +678,12 @@ def _removed_positive_modes(surface: SurfaceData, alpha: float) -> list:
 
 def surface_zeta(surface: SurfaceData, s, *, tol: float = 1e-12) -> complex:
     """Continued Mellin transform at s of the geometric trace HTr + ETr + I
-    (tail constant 0), term by term, for Re(s) > 0; PoleError at s = 1."""
+    (tail constant 0), term by term, for Re(s) > 0; PoleError at s = 1.
+    HTr + ETr is one exp-sinh Mellin integral (_geodesic_cone_zeta), its
+    error judged in the value's units against tol max(1, b_0); at large
+    |Im s|, where 1/Gamma(s) magnifies the integral's rounding past that,
+    QuadratureError is raised (at s = 0.5+10i on a genus-2 surface with
+    cones 2, 3 and tol 1e-12)."""
     return (_identity_zeta(surface.volume, s, 0.0, tol)
             + _geodesic_cone_zeta(surface.length_spectrum,
                                   surface.elliptic_orders, s, 0.0, tol))

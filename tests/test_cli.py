@@ -131,8 +131,25 @@ def test_zeta_matches_library_and_oracle(surface_file, capsys):
         assert row[4] == "1"
         value = complex(re_val, im_val)
         s = complex(re_s, im_s)
-        assert value == surface_zeta(surface, s, tol=1e-12)
+        assert value == surface_zeta(surface, s, tol=1e-11)
         assert abs(value - mp_surface_zeta(surface, s)) <= 1e-10
+
+
+def test_zeta_near_the_critical_strip_meets_its_tolerance(tmp_path, capsys):
+    # |1/Gamma(s)| = 332: the CLI's zeta tolerance must be one the Mellin
+    # integral can meet in the value's units, and the value lie within it
+    surface = SurfaceData(genus=1, num_cusps=0, elliptic_orders=(2, 3),
+                          length_spectrum=((1.513916, 2), (2.205418, 1),
+                                           (2.321557, 3), (3.410323, 3)))
+    path = tmp_path / "surface.json"
+    save_surface(surface, path)
+    re_s, im_s = 0.15196869544184777, 3.9754904169862475
+    argv = ["zeta", "--surface", str(path), "--s", f"{re_s!r}:{re_s!r}:1",
+            "--im", repr(im_s), "--tol", "1e-10"]
+    assert cli.main(argv) == cli.EXIT_OK
+    (row,) = _table(capsys.readouterr().out)[1]
+    value = complex(float(row[2]), float(row[3]))
+    assert abs(value - mp_surface_zeta(surface, complex(re_s, im_s))) <= 1e-10
 
 
 def test_det_alpha_removes_the_small_eigenvalue(compact_surface, tmp_path,

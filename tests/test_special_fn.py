@@ -18,11 +18,13 @@ from degenspec.errors import (DomainError, NonFiniteIntegrandError,
                               QuadratureError)
 from degenspec.geometry import SurfaceData
 from degenspec.hplane import heat_kernel_h
+from degenspec.selberg import selberg_logderiv_integral
 from degenspec.special_fn import (_DE_ROWS, KBesselArgs, QuadratureResult,
                                   _de_level, digamma, integrate_finite,
-                                  integrate_real_line, integrate_semi_infinite,
-                                  k_bessel, log_gamma, reciprocal_gamma)
-from degenspec.traces import elliptic_trace_u
+                                  integrate_semi_infinite, k_bessel, log_gamma,
+                                  reciprocal_gamma)
+from degenspec.traces import elliptic_trace_r, elliptic_trace_u
+from degenspec.zeta_det import degeneration_subtraction_zeta, surface_zeta
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -85,6 +87,20 @@ class TestIntegrateSemiInfinite:
     def test_bad_decay_hint(self):
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda t: np.exp(-t), decay=0.0)
+
+    @pytest.mark.parametrize("expr, value", [
+        ("np.where(t < 1.0, np.exp(-t), 0.0)", 1.0 - math.exp(-1.0)),
+        ("np.exp(-np.abs(t - 1.0))", 2.0 - math.exp(-1.0))])
+    def test_a_jump_or_kink_needs_the_adaptive_rule(self, expr, value):
+        # a caller's h(t) may jump or kink, off the map's break points here
+        # (decay 0.7): the adaptive rule meets tol, exp-sinh cannot
+        def f(t):
+            return eval(expr, {"np": np, "t": t})
+
+        res = integrate_semi_infinite(f, decay=0.7, tol=1e-12)
+        assert abs(res.value - value) <= 1e-12
+        with pytest.raises(QuadratureError):
+            integrate_semi_infinite(f, decay=0.7, tol=1e-12, rule="exp-sinh")
 
 
 def integrate_exp_sinh(f, **kwargs):
@@ -570,14 +586,17 @@ class TestKBessel:
             KBesselArgs(s=0.5, a=1.0, b=-1.0)
 
 
-class TestRealLine:
-    def test_gaussian(self):
-        res = integrate_real_line(lambda r: np.exp(-r * r), decay=1.0,
-                                  tol=1e-12)
-        assert abs(res.value - math.sqrt(math.pi)) <= 1e-11
+def test_package_integrands_never_reach_the_adaptive_rule(
+        compact_surface, hecke_like_family, monkeypatch):
+    # every half-line integrand the package writes itself is analytic and
+    # goes to exp-sinh; only a caller's h(t) needs Gauss-Kronrod
+    def adaptive(*args, **kwargs):
+        raise AssertionError("Gauss-Kronrod called")
 
-    def test_asymmetric(self):
-        oracle, _ = quad(lambda r: math.exp(-abs(r - 0.3)), -np.inf, np.inf)
-        res = integrate_real_line(lambda r: np.exp(-np.abs(r - 0.3)),
-                                  decay=1.0, tol=1e-10)
-        assert abs(res.value - oracle) <= 1e-8
+    monkeypatch.setattr(special_fn, "_adaptive", adaptive)
+    surface_zeta(compact_surface, 0.278 + 1.826j)
+    degeneration_subtraction_zeta(hecke_like_family, 0.1, 2.0, mode="zeta")
+    degeneration_subtraction_zeta(hecke_like_family, 0.1, 3.0,
+                                  mode="hurwitz", z=1.0)
+    selberg_logderiv_integral(compact_surface.length_spectrum, 0.9 + 0.2j)
+    elliptic_trace_r((2, 3, 7), 0.5)

@@ -8,16 +8,16 @@ polynomial of e^t, which transforms in closed form to a sum of ratios
 Gamma(s+alpha+j)/Gamma(s); the remainder is one exp-sinh integral over
 (0, inf) (_continued_mellin).  The same core handles the Laplace-Mellin
 (Hurwitz) transform, e^{-zt} in the weight, and the regularized determinant
-is exp(-zeta'(0)) with the derivative taken by Richardson-refined central
-differences.  That route serves opaque traces and finite spectra, all set
-up one way: one truncation (_truncation) removes the listed modes lambda <=
-alpha, and one rule (_expansion_terms) gives the subtracted terms.  It is
-the only Mellin integral here: a surface's HTr + ETr go through it too, with
-their exact b_0 (_geodesic_cone_zeta), the error judged in the value's
-units, so that at large |Im s| it raises QuadratureError.  The rest of a
-surface goes term by term (surface_zeta, surface_log_det): the identity
-term and zeta'(0) have exact transforms, so nothing there is fitted or
-differenced in s.
+exp(-zeta'(0)): 1/Gamma has slope 1 at its zero s = 0, so zeta'(0) is the
+added part's slope, in closed form, plus the remainder integral at s = 0.
+That route serves opaque traces and finite spectra, all set up one way:
+one truncation (_truncation) removes the listed modes lambda <= alpha, and
+one rule (_expansion_terms) gives the subtracted terms.  It is the only
+Mellin integral here: a surface's HTr + ETr go through it too, with their
+exact b_0 (_geodesic_cone_zeta), the error judged in the value's units, so
+that at large |Im s| it raises QuadratureError.  The rest of a surface goes
+term by term (surface_zeta, surface_log_det): the identity term and
+zeta'(0) have exact transforms, so nothing there is fitted.
 """
 
 from __future__ import annotations
@@ -109,10 +109,7 @@ def spectral_zeta_series(eigenvalues, s, *, growth: float | None = None,
     s = complex(s)
     if isinstance(eigenvalues, (list, tuple, np.ndarray)):
         lam = np.asarray([float(x) for x in eigenvalues])
-        lam = lam[lam > 0]
-        if lam.size == 0:
-            return 0.0 + 0.0j
-        return complex(np.sum(np.exp(-s * np.log(lam))))
+        return complex(np.sum(np.exp(-s * np.log(lam[lam > 0]))))
     if s.real <= 1.0:
         raise DivergenceError(
             f"infinite spectra need Re(s) > 1, got Re(s) = {s.real}")
@@ -145,11 +142,9 @@ def _normalize_terms(coefficients) -> list:
     """
     if isinstance(coefficients, HeatCoefficients):
         return coefficients.pairs()
-    pairs = []
-    for entry in coefficients:
-        pairs.append((len(pairs) - 1, float(entry)) if np.isscalar(entry)
-                     else (float(entry[0]), float(entry[1])))
-    return pairs
+    return [(k - 1, float(entry)) if np.isscalar(entry)
+            else (float(entry[0]), float(entry[1]))
+            for k, entry in enumerate(coefficients)]
 
 
 def _check_terms(trace: Callable, terms: list) -> None:
@@ -202,11 +197,21 @@ def _gamma_ratio(s: complex, a: float) -> complex:
                                start=1.0))
 
 
+def _gamma_ratio_slope(a: float) -> float:
+    """d/ds Gamma(s + a)/Gamma(s) at s = 0: Gamma(a), as 1/Gamma has slope 1
+    there, but at a = -m, m = 0, 1, ..., where the ratio is 1/((s-1) ...
+    (s-m)), its value (-1)^m/m! at 0 times the harmonic number H_m."""
+    m = round(a)
+    if abs(a - m) < 1e-12 and m <= 0:
+        return _gamma_ratio(0j, a).real * sum(1.0 / j for j in range(1, 1 - m))
+    return math.gamma(a)
+
+
 def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
                       tol: float, tail_decay: float, z: complex = 0.0,
-                      removed=()) -> tuple:
+                      removed=(), *, slope: bool = False) -> tuple:
     """Continued (1/Gamma(s)) int_0^inf [trace(t) - c_M] e^{-zt} t^{s-1} dt
-    and the pole flag.
+    and the pole flag; with slope, its s-derivative at s = z = 0.
 
     `terms` match the trace to O(t^{n_rem}), n_rem = max alpha + 1, and
     -c_M is one more power 0.  Each b_alpha t^alpha is subtracted as
@@ -215,7 +220,10 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
     sum_{j<k} Gamma(s+alpha+j)/(j! Gamma(s)) (1+z)^{-(s+alpha+j)}.  The
     rest is one exp-sinh integral to tol/(2 max(1, |1/Gamma(s)|)), written
     below t = 1 with the regularized incomplete gamma P(k, t) so that it is
-    clean where the trace equals its expansion.
+    clean where the trace equals its expansion.  n_rem + Re s <= 0 raises
+    InsufficientSubtractionsError before the trace is called.  The slope at
+    s = 0 takes 1, the slope of 1/Gamma there, in place of 1/Gamma(s), and
+    the added ratios' slopes in closed form (_gamma_ratio_slope).
 
     Counted in its error: the rounding eps sum |b_alpha t^alpha| of the
     subtraction below t = 1; above, for `removed` modes (_truncation), eps
@@ -226,10 +234,14 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
     c t^{n_rem + 1}, seen at 4 t_lo.  t_lo is the larger of tol^{1/(n_rem +
     Re s)} and the t above which the rounding integrates to a quarter of
     the integral's tolerance.  QuadratureError carries value and error when
-    max(1, |1/Gamma(s)|) times the error passes tol: near s = 0 the error
-    stays in the integral's units, since the log det differences the
-    integrals there."""
+    max(1, |1/Gamma(s)|) times the error passes tol: where |1/Gamma(s)| < 1
+    the error stays in the integral's units."""
     s, z = complex(s), complex(z)
+    n_rem = max((alpha for alpha, _ in terms), default=-1.0) + 1.0
+    if n_rem + s.real <= 0.0:
+        raise InsufficientSubtractionsError(
+            f"Re(s) + max alpha + 1 = {s.real + n_rem:g} <= 0; deepen the "
+            "subtraction to continue this far left")
     trace = as_array_fn(trace)
     expansion = [(alpha, b) for alpha, b in terms if b != 0.0]
     pole_flag = next(((1.0, b) for alpha, b in expansion
@@ -237,14 +249,14 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
     if pole_flag and abs(s - 1.0) < _POLE_EPS:
         raise PoleError(f"zeta has a simple pole at s = 1 with residue "
                         f"{pole_flag[1]}")
-    n_rem = max((alpha for alpha, _ in terms), default=-1.0) + 1.0
     subtracted = [(alpha, b, max(1, math.ceil(n_rem - alpha - 1e-9)))
                   for alpha, b in expansion + [(0.0, -c_M)] if b != 0.0]
     # PoleError at the other poles of the Gamma(s + alpha + j)
-    added = sum(b * _gamma_ratio(s, alpha + j) / math.factorial(j)
-                * np.exp(-(s + alpha + j) * np.log(1.0 + z))
+    added_ratio = _gamma_ratio_slope if slope else (
+        lambda a: _gamma_ratio(s, a) * np.exp(-(s + a) * np.log(1.0 + z)))
+    added = sum(b * added_ratio(alpha + j) / math.factorial(j)
                 for alpha, b, k in subtracted for j in range(k))
-    rg = reciprocal_gamma(s)
+    rg = 1.0 if slope else reciprocal_gamma(s)
     tol_int = 0.5 * tol / max(1.0, abs(rg))
     t_lo = 0.0
     for alpha, b in expansion:
@@ -380,13 +392,12 @@ def fit_trace_expansion(trace: Callable, powers, *, known=(),
         samples = samples - c * grid ** p
     if not powers:
         return sorted(known)
-    scale = t_max
-    design = np.column_stack([(grid / scale) ** p for p in powers])
+    design = np.column_stack([(grid / t_max) ** p for p in powers])
     cond = np.linalg.cond(design)
     if cond > 1e12:
         raise FitError(f"expansion fit ill conditioned (cond={cond:.3g})")
     coeffs, *_ = np.linalg.lstsq(design, samples, rcond=None)
-    fitted = [(p, float(c) / scale ** p) for p, c in zip(powers, coeffs)]
+    fitted = [(p, float(c) / t_max ** p) for p, c in zip(powers, coeffs)]
     return sorted(known + fitted)
 
 
@@ -411,21 +422,16 @@ def spectral_zeta_mellin(trace: Callable, c_M: float, s, n_subtractions: int = 0
 
     c_M is the t -> infinity limit of the trace (the zero-mode count for a
     genuine spectral trace).  n_subtractions = n subtracts the expansion
-    terms b_{-1}, ..., b_{n-1}, valid for Re(s) + n > 0, fitted from the
-    trace when coefficients are omitted.  Supplied coefficients, a
-    HeatCoefficients fit, a float ladder or explicit (power, value) pairs,
-    are subtracted in full and checked against the trace at small t
-    (ExpansionMismatchError on a mismatch).
+    terms b_{-1}, ..., b_{n-1}, fitted from the trace when coefficients are
+    omitted.  Supplied coefficients, a HeatCoefficients fit, a float ladder
+    or explicit (power, value) pairs, are subtracted in full, whatever n, and
+    checked against the trace at small t (ExpansionMismatchError on a
+    mismatch).  Either way the value needs Re(s) + max power + 1 > 0.
     """
     s = complex(s)
     if n_subtractions < 0:
         raise DomainError("n_subtractions must be >= 0")
     terms = _expansion_terms(trace, coefficients, n_subtractions)
-    is_ladder = terms and all(abs(a - round(a)) < 1e-12 for a, _ in terms)
-    if (coefficients is None or is_ladder) and s.real + n_subtractions <= 0:
-        raise InsufficientSubtractionsError(
-            f"Re(s) + n_subtractions = {s.real + n_subtractions} <= 0; "
-            "deepen the subtraction to continue this far left")
     value, pole_flag = _continued_mellin(trace, s, terms, c_M, tol,
                                          tail_decay)
     return ZetaEvaluation(s=s, value=value, n_subtractions=n_subtractions,
@@ -507,12 +513,18 @@ def hurwitz_zeta(spectral_input, s, z, *, stage: int = 0, c_M: float = 1.0,
     return complex(head + value)
 
 
+def _removed_positive_modes(eigenvalues, alpha: float) -> list:
+    """The listed eigenvalues in (0, alpha], alpha in (0, 1/4) off all of
+    them; zero modes need no removal, the tail constant c_M drops them."""
+    return [lam for lam in _removed_eigenvalues(eigenvalues, alpha,
+                                                closed_below=False)
+            if lam > 0.0]
+
+
 def _truncation(trace: Callable, small_eigenvalues, alpha: float) -> tuple:
     """(truncated trace, removed modes) of `trace` less the listed positive
-    modes lambda <= alpha, alpha in (0, 1/4).  Listed zero modes need no
-    removal: the tail constant c_M drops them already."""
-    removed = [lam for lam in _removed_eigenvalues(
-        small_eigenvalues, alpha, closed_below=False) if lam > 0.0]
+    modes lambda <= alpha, alpha in (0, 1/4)."""
+    removed = _removed_positive_modes(small_eigenvalues, alpha)
 
     def truncated(t: np.ndarray):
         return np.asarray(trace(t), dtype=float) - sum(
@@ -548,57 +560,44 @@ def truncated_zeta(spectral_input, alpha: float, s, *,
     return spectral_zeta_series([lam for lam in lams if lam > alpha], s)
 
 
-def _derivative_at_zero(fn: Callable, h: float) -> float:
-    """Richardson-refined central difference of fn at 0, taken on Python
-    complex values: numpy's complex128 division rounds differently."""
-    d1 = (complex(fn(h)) - complex(fn(-h))) / (2.0 * h)
-    d2 = (complex(fn(h / 2.0)) - complex(fn(-h / 2.0))) / h
-    return float(np.real((4.0 * d2 - d1) / 3.0))
-
-
 def det_laplacian(spectral_input, *, c_M: float = 1.0, coefficients=None,
-                  n_subtractions: int = 1, h: float = 1e-4,
-                  tol: float = 1e-12, tail_decay: float = 0.25) -> float:
+                  n_subtractions: int = 1, tol: float = 1e-12,
+                  tail_decay: float = 0.25) -> float:
     """Regularized determinant exp(-zeta'(0)), zeta'(0) the
-    mellin_regularized_integral of the trace or finite spectrum (trace
-    providers need n_subtractions >= 1, so s = -h stays continued)."""
-    if n_subtractions < 1 and callable(spectral_input):
-        raise InsufficientSubtractionsError(
-            "determinant evaluation needs n_subtractions >= 1")
+    mellin_regularized_integral of the trace or finite spectrum."""
     return math.exp(-mellin_regularized_integral(
         spectral_input, c_M=c_M, coefficients=coefficients,
-        n_subtractions=n_subtractions, h=h, tol=tol, tail_decay=tail_decay))
+        n_subtractions=n_subtractions, tol=tol, tail_decay=tail_decay))
 
 
 def mellin_regularized_integral(trace, *, c_M: float = 0.0,
                                 coefficients=None, n_subtractions: int = 1,
-                                h: float = 1e-4, tol: float = 1e-12,
+                                tol: float = 1e-12,
                                 tail_decay: float = 0.25) -> float:
     """Regularized value of int_0^inf trace(t) dt/t.
 
     Defined as d/ds[(1/Gamma(s)) int trace t^{s-1} dt] at s = 0, which equals
     the literal integral whenever it converges and extends it (finite part)
-    when the trace does not vanish at t = 0.  The derivative is a
-    Richardson-refined central difference of the continued transform at
-    s = +-h; supplied coefficients are checked against the trace once, at
-    small t (ExpansionMismatchError on a mismatch).  A finite spectrum in
-    place of the trace stands for sum e^{-lambda t} over its lambda > 0 and
-    differences its entire Dirichlet sum.
+    when the trace does not vanish at t = 0; one _continued_mellin call.
+    Supplied coefficients are checked against the trace at small t
+    (ExpansionMismatchError on a mismatch).  A finite spectrum in place of
+    the trace stands for sum e^{-lambda t} over its lambda > 0, whose value
+    is -sum log lambda.
     """
     if not callable(trace):
-        lams = [float(x) for x in trace]
-        return _derivative_at_zero(lambda s: spectral_zeta_series(lams, s), h)
+        return -math.fsum(math.log(lam) for lam in map(float, trace)
+                          if lam > 0)
     terms = _expansion_terms(trace, coefficients, n_subtractions)
-    return _derivative_at_zero(lambda s: _continued_mellin(
-        trace, s, terms, c_M, tol, tail_decay)[0], h)
+    return float(_continued_mellin(trace, 0.0, terms, c_M, tol, tail_decay,
+                                   slope=True)[0].real)
 
 
 def log_det_truncated(trace: Callable, small_eigenvalues, alpha: float, *,
                       c_M: float = 0.0, coefficients=None,
-                      n_subtractions: int = 1, h: float = 1e-4,
-                      tol: float = 1e-12, tail_decay: float = 0.25) -> float:
-    """log det of the Laplacian with modes <= alpha removed:
-    -(d/ds) at 0 of the continued Mellin transform of the truncated trace.
+                      n_subtractions: int = 1, tol: float = 1e-12,
+                      tail_decay: float = 0.25) -> float:
+    """log det of the Laplacian with modes <= alpha removed, -zeta'(0) of
+    the truncated trace from one _continued_mellin call.
 
     Supplied coefficients describe the full trace; the supplied integer
     powers p >= 0 are shifted for the removed modes (no other powers are
@@ -607,8 +606,8 @@ def log_det_truncated(trace: Callable, small_eigenvalues, alpha: float, *,
     """
     trace, removed = _truncation(trace, small_eigenvalues, alpha)
     terms = _expansion_terms(trace, coefficients, n_subtractions, removed)
-    return -_derivative_at_zero(lambda s: _continued_mellin(
-        trace, s, terms, c_M, tol, tail_decay, removed=removed)[0], h)
+    return -float(_continued_mellin(trace, 0.0, terms, c_M, tol, tail_decay,
+                                    removed=removed, slope=True)[0].real)
 
 
 def _identity_zeta(vol: float, s, z, tol: float) -> complex:
@@ -669,13 +668,6 @@ def _zeta_prime_zero(lengths, orders, vol: float, tol: float) -> float:
                 2.0 * _ZETA_PRIME_MINUS_ONE - 0.25 + 0.5 * math.log(2.0 * math.pi)))
 
 
-def _removed_positive_modes(surface: SurfaceData, alpha: float) -> list:
-    """The listed eigenvalues in (0, alpha], alpha in (0, 1/4) off all of them."""
-    return [lam for lam in _removed_eigenvalues(surface.small_eigenvalues,
-                                                alpha, closed_below=False)
-            if lam > 0.0]
-
-
 def surface_zeta(surface: SurfaceData, s, *, tol: float = 1e-12) -> complex:
     """Continued Mellin transform at s of the geometric trace HTr + ETr + I
     (tail constant 0), term by term, for Re(s) > 0; PoleError at s = 1.
@@ -683,10 +675,15 @@ def surface_zeta(surface: SurfaceData, s, *, tol: float = 1e-12) -> complex:
     error judged in the value's units against tol max(1, b_0); at large
     |Im s|, where 1/Gamma(s) magnifies the integral's rounding past that,
     QuadratureError is raised (at s = 0.5+10i on a genus-2 surface with
-    cones 2, 3 and tol 1e-12)."""
-    return (_identity_zeta(surface.volume, s, 0.0, tol)
-            + _geodesic_cone_zeta(surface.length_spectrum,
-                                  surface.elliptic_orders, s, 0.0, tol))
+    cones 2, 3 and tol 1e-12), its value with the identity term added."""
+    identity = _identity_zeta(surface.volume, s, 0.0, tol)
+    try:
+        return identity + _geodesic_cone_zeta(
+            surface.length_spectrum, surface.elliptic_orders, s, 0.0, tol)
+    except QuadratureError as exc:
+        if exc.value is not None:
+            exc.value += identity
+        raise
 
 
 def surface_log_det(surface: SurfaceData, alpha: float | None = None, *,
@@ -694,7 +691,8 @@ def surface_log_det(surface: SurfaceData, alpha: float | None = None, *,
     """log det of the surface Laplacian, -(d/ds) at 0 of surface_zeta, in
     closed form; zero modes add nothing.  alpha in (0, 1/4) also removes the
     listed eigenvalues in (0, alpha]."""
-    removed = [] if alpha is None else _removed_positive_modes(surface, alpha)
+    removed = ([] if alpha is None else
+               _removed_positive_modes(surface.small_eigenvalues, alpha))
     return -_zeta_prime_zero(surface.length_spectrum, surface.elliptic_orders,
                              surface.volume, tol) - sum(map(math.log, removed))
 
@@ -719,7 +717,7 @@ def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
     Returns rows (prod q_gamma, value); convergence of the paper-style limit
     shows up as Cauchy-shrinking differences down the rows.
     """
-    modes = _removed_positive_modes(family.template, alpha)
+    modes = _removed_positive_modes(family.template.small_eigenvalues, alpha)
     if mode not in ("zeta", "hurwitz", "logdet"):
         raise DomainError(f"unknown mode '{mode}'")
     if mode == "hurwitz" and (z is None or complex(z).real <= 0):

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from scipy.special import zeta as riemann_zeta
 
-from degenspec import zeta_det
+from degenspec import special_fn, zeta_det
 from degenspec.errors import (AlphaCollisionError, DivergenceError,
                               DomainError, ExpansionMismatchError, FitError,
-                              InsufficientSubtractionsError, PoleError,
+                              InsufficientSubtractionsError,
+                              NonFiniteIntegrandError, PoleError,
                               QuadratureError, StripViolationError)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.special_fn import as_array_fn, integrate_semi_infinite
@@ -186,6 +187,32 @@ class TestMellin:
         with pytest.raises(InsufficientSubtractionsError):
             spectral_zeta_mellin(trace, 0.0, -1.5, 1)
 
+    def test_subtraction_depth_is_checked_before_the_trace(self):
+        def trace(t):
+            raise AssertionError("the trace is not to be called")
+        with pytest.raises(InsufficientSubtractionsError):
+            zeta_det._continued_mellin(trace, -1.0, [(0.0, 1.0)], 0.0,
+                                       1e-10, 0.25)
+        # one fitted b_{-1} leaves an O(1) remainder, divergent against
+        # dt/t: a named error at once, not a failed integral
+        start = time.perf_counter()
+        with pytest.raises(InsufficientSubtractionsError):
+            mellin_regularized_integral(finite_model_trace([0.5, 1.5, 4.0]),
+                                        n_subtractions=0)
+        assert time.perf_counter() - start < 0.05
+
+    def test_supplied_coefficients_set_the_depth(self):
+        # b_{-1} = 0, b_0 = 3 leave an O(t) remainder, so s = -0.5 is
+        # continued whatever n_subtractions says, and s = -1.5 is not
+        eigs = [0.5, 1.5, 4.0]
+        trace = finite_model_trace(eigs)
+        value = spectral_zeta_mellin(trace, 0.0, -0.5, 0,
+                                     coefficients=[0.0, 3.0], tol=1e-10).value
+        assert abs(value - spectral_zeta_series(eigs, -0.5)) <= 1e-10
+        with pytest.raises(InsufficientSubtractionsError):
+            spectral_zeta_mellin(trace, 0.0, -1.5, 5,
+                                 coefficients=[(-1.0, 0.0), (0.0, 3.0)])
+
     @pytest.mark.parametrize("transform", [
         lambda trace, c: spectral_zeta_mellin(trace, 1.0, 2.0, 1,
                                               coefficients=c).value,
@@ -239,11 +266,20 @@ class TestGammaRatio:
         assert abs(got - complex(want)) <= 1e-14 * max(1.0, abs(want))
 
     def test_integer_shifts_are_exact(self):
-        # the s = +-h of the log-det difference and the pole at s = 1
+        # on both sides of the zero s = 0 and next to the pole at s = 1
         for s in (1e-4, -1e-4, 1.0 + 1e-4):
             assert zeta_det._gamma_ratio(s, 0.0) == 1.0
             assert zeta_det._gamma_ratio(s, 1.0) == s
             assert zeta_det._gamma_ratio(s, -1.0) == 1.0 / (s - 1.0)
+
+    @pytest.mark.parametrize("a", [-3.0, -2.0, -1.0, 0.0, 1.0, 3.0, -1.5,
+                                   -0.5, 0.5, 2.5, 0.3])
+    def test_slope_at_zero_against_mpmath(self, a):
+        # d/ds Gamma(s + a)/Gamma(s) at s = 0, the log det's add-back
+        with mp.workdps(30):
+            want = mp.diff(lambda s: mp.gammaprod([s + a], [s]), 0)
+        got = zeta_det._gamma_ratio_slope(a)
+        assert abs(got - float(want)) <= 1e-14 * max(1.0, abs(float(want)))
 
 
 class TestHeatCoefficients:
@@ -377,6 +413,36 @@ class TestDeterminant:
         det = det_laplacian([1.0, 2.0, 3.0])
         assert det == pytest.approx(6.0, rel=1e-9)
 
+    def test_five_modes_to_the_rounding(self):
+        # the slope at s = 0 is one integral, held to tol, with no
+        # difference error on top
+        log_det = math.log(det_laplacian(finite_model_trace(FIVE_MODES),
+                                         c_M=0.0, coefficients=[0.0, 5.0]))
+        assert abs(log_det - math.fsum(map(math.log, FIVE_MODES))) <= 1e-13
+
+    @pytest.mark.parametrize("log_det", [
+        lambda trace: mellin_regularized_integral(
+            trace, coefficients=[0.0, 5.0]),
+        lambda trace: det_laplacian(trace, c_M=0.0, coefficients=[0.0, 5.0]),
+        lambda trace: log_det_truncated(trace, FIVE_MODES, 0.2,
+                                        coefficients=[0.0, 5.0]),
+    ], ids=["mellin_regularized_integral", "det_laplacian",
+            "log_det_truncated"])
+    def test_one_integral_per_log_det(self, monkeypatch, log_det):
+        calls = {"mellin": 0, "exp-sinh": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+        monkeypatch.setattr(zeta_det, "_continued_mellin",
+                            counted("mellin", zeta_det._continued_mellin))
+        monkeypatch.setattr(special_fn, "_exp_sinh",
+                            counted("exp-sinh", special_fn._exp_sinh))
+        log_det(finite_model_trace(FIVE_MODES))
+        assert calls == {"mellin": 1, "exp-sinh": 1}
+
     def test_zero_mode_ignored(self):
         det = det_laplacian([0.0, 2.0, 5.0])
         assert det == pytest.approx(10.0, rel=1e-9)
@@ -422,11 +488,10 @@ class TestDeterminant:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-11, 1e-12])
     def test_identity_trace_log_det(self, bare_surface, tol):
-        # b_{-1} = vol/4pi leaves rounding eps/t^2 in the remainder at
-        # s = +-h, which the cutoff keeps out of the integral; below it the
-        # remainder is taken as its leading power, O(t).  The integrals at
-        # s = +-h are held to tol itself, not to tol/|1/Gamma(+-h)| ~ tol/h,
-        # since their difference is the derivative
+        # b_{-1} = vol/4pi leaves rounding eps/t^2 in the remainder
+        # against dt/t, which the cutoff keeps out of the integral; below it
+        # the remainder is taken as its leading power, O(t).  The slope at
+        # s = 0 is the remainder integral itself, held to tol
         vol = bare_surface.volume
         oracle = mp_identity_zeta_prime_zero(vol)
         try:
@@ -599,12 +664,22 @@ class TestSurfaceTermByTerm:
     @pytest.mark.parametrize("s", [0.5 + 10j, 0.3 + 19j])
     def test_surface_zeta_at_large_imaginary_part(self, compact_surface, s):
         # |1/Gamma(s)| ~ 3e6 and 7e12 magnify the Mellin integral's error:
-        # the value must meet the oracle or the error be raised
+        # the value must meet the oracle or the error be raised, its value
+        # the whole zeta's within its estimate
+        oracle = mp_surface_zeta(compact_surface, s)
         try:
             value = surface_zeta(compact_surface, s, tol=1e-12)
-        except QuadratureError:
+        except QuadratureError as err:
+            assert abs(err.value - oracle) <= err.error_estimate
             return
-        assert abs(value - mp_surface_zeta(compact_surface, s)) <= 1e-10
+        assert abs(value - oracle) <= 1e-10
+
+    def test_surface_zeta_passes_on_an_error_without_a_value(
+            self, compact_surface):
+        # t^{s-1} overflows at s = 400: the integrand's error has no value
+        # for the identity term to be added to
+        with pytest.raises(NonFiniteIntegrandError):
+            surface_zeta(compact_surface, 400.0)
 
     def test_np_elliptic_oracle_matches_mpmath(self):
         s = 0.278 + 1.826j

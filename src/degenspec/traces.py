@@ -427,19 +427,20 @@ def standard_trace(surface: SurfaceData, t, tol: float = 1e-12):
 
 
 def _removed_eigenvalues(eigenvalues, alpha: float, *,
-                         closed_below: bool = True) -> list:
-    """The listed eigenvalues lambda <= alpha, the modes a truncation at
-    alpha removes.  alpha must lie in [0, 1/4), or in (0, 1/4) when not
-    closed_below, and off every listed eigenvalue (AlphaCollisionError)."""
-    if not (0.0 < alpha < 0.25 or (closed_below and alpha == 0.0)):
-        bracket = "[" if closed_below else "("
+                         positive: bool = False) -> list:
+    """The listed eigenvalues lambda <= alpha, > 0 too if `positive`, that a
+    truncation at alpha removes; alpha must lie in [0, 1/4), or (0, 1/4) if
+    positive, and off every listed eigenvalue (AlphaCollisionError)."""
+    if not (0.0 < alpha < 0.25 or (not positive and alpha == 0.0)):
+        bracket = "(" if positive else "["
         raise DomainError(f"alpha must lie in {bracket}0, 1/4), got {alpha}")
     eigenvalues = [float(lam) for lam in eigenvalues]
     for lam in eigenvalues:
         if abs(lam - alpha) < 1e-12:
             raise AlphaCollisionError(
                 f"alpha = {alpha} collides with listed eigenvalue {lam}")
-    return [lam for lam in eigenvalues if lam <= alpha]
+    return [lam for lam in eigenvalues
+            if lam <= alpha and (lam > 0.0 or not positive)]
 
 
 def removed_modes(surface: SurfaceData, alpha: float, t: float) -> float:

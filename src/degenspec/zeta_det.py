@@ -109,7 +109,10 @@ def spectral_zeta_series(eigenvalues, s, *, growth: float | None = None,
     s = complex(s)
     if isinstance(eigenvalues, (list, tuple, np.ndarray)):
         lam = np.asarray([float(x) for x in eigenvalues])
-        return complex(np.sum(np.exp(-s * np.log(lam[lam > 0]))))
+        lam = lam[lam > 0]
+        if lam.size == 0:
+            return 0.0 + 0.0j
+        return complex(np.sum(np.exp(-s * np.log(lam))))
     if s.real <= 1.0:
         raise DivergenceError(
             f"infinite spectra need Re(s) > 1, got Re(s) = {s.real}")
@@ -142,9 +145,11 @@ def _normalize_terms(coefficients) -> list:
     """
     if isinstance(coefficients, HeatCoefficients):
         return coefficients.pairs()
-    return [(k - 1, float(entry)) if np.isscalar(entry)
-            else (float(entry[0]), float(entry[1]))
-            for k, entry in enumerate(coefficients)]
+    pairs = []
+    for entry in coefficients:
+        pairs.append((len(pairs) - 1, float(entry)) if np.isscalar(entry)
+                     else (float(entry[0]), float(entry[1])))
+    return pairs
 
 
 def _check_terms(trace: Callable, terms: list) -> None:
@@ -198,9 +203,8 @@ def _gamma_ratio(s: complex, a: float) -> complex:
 
 
 def _gamma_ratio_slope(a: float) -> float:
-    """d/ds Gamma(s + a)/Gamma(s) at s = 0: Gamma(a), as 1/Gamma has slope 1
-    there, but at a = -m, m = 0, 1, ..., where the ratio is 1/((s-1) ...
-    (s-m)), its value (-1)^m/m! at 0 times the harmonic number H_m."""
+    """d/ds Gamma(s + a)/Gamma(s) at s = 0: Gamma(a), but at a = -m, m = 0,
+    1, ..., the ratio 1/((s-1) ... (s-m)) at 0 times the harmonic H_m."""
     m = round(a)
     if abs(a - m) < 1e-12 and m <= 0:
         return _gamma_ratio(0j, a).real * sum(1.0 / j for j in range(1, 1 - m))
@@ -221,9 +225,8 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
     rest is one exp-sinh integral to tol/(2 max(1, |1/Gamma(s)|)), written
     below t = 1 with the regularized incomplete gamma P(k, t) so that it is
     clean where the trace equals its expansion.  n_rem + Re s <= 0 raises
-    InsufficientSubtractionsError before the trace is called.  The slope at
-    s = 0 takes 1, the slope of 1/Gamma there, in place of 1/Gamma(s), and
-    the added ratios' slopes in closed form (_gamma_ratio_slope).
+    InsufficientSubtractionsError before the trace is called.  The slope
+    takes (1/Gamma)'(0) = 1 for 1/Gamma(s) and _gamma_ratio_slope's ratios.
 
     Counted in its error: the rounding eps sum |b_alpha t^alpha| of the
     subtraction below t = 1; above, for `removed` modes (_truncation), eps
@@ -237,6 +240,7 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
     max(1, |1/Gamma(s)|) times the error passes tol: where |1/Gamma(s)| < 1
     the error stays in the integral's units."""
     s, z = complex(s), complex(z)
+    assert not slope or s == z == 0.0, "the slope is taken at s = z = 0"
     n_rem = max((alpha for alpha, _ in terms), default=-1.0) + 1.0
     if n_rem + s.real <= 0.0:
         raise InsufficientSubtractionsError(
@@ -392,12 +396,13 @@ def fit_trace_expansion(trace: Callable, powers, *, known=(),
         samples = samples - c * grid ** p
     if not powers:
         return sorted(known)
-    design = np.column_stack([(grid / t_max) ** p for p in powers])
+    scale = t_max
+    design = np.column_stack([(grid / scale) ** p for p in powers])
     cond = np.linalg.cond(design)
     if cond > 1e12:
         raise FitError(f"expansion fit ill conditioned (cond={cond:.3g})")
     coeffs, *_ = np.linalg.lstsq(design, samples, rcond=None)
-    fitted = [(p, float(c) / t_max ** p) for p, c in zip(powers, coeffs)]
+    fitted = [(p, float(c) / scale ** p) for p, c in zip(powers, coeffs)]
     return sorted(known + fitted)
 
 
@@ -513,18 +518,11 @@ def hurwitz_zeta(spectral_input, s, z, *, stage: int = 0, c_M: float = 1.0,
     return complex(head + value)
 
 
-def _removed_positive_modes(eigenvalues, alpha: float) -> list:
-    """The listed eigenvalues in (0, alpha], alpha in (0, 1/4) off all of
-    them; zero modes need no removal, the tail constant c_M drops them."""
-    return [lam for lam in _removed_eigenvalues(eigenvalues, alpha,
-                                                closed_below=False)
-            if lam > 0.0]
-
-
 def _truncation(trace: Callable, small_eigenvalues, alpha: float) -> tuple:
     """(truncated trace, removed modes) of `trace` less the listed positive
-    modes lambda <= alpha, alpha in (0, 1/4)."""
-    removed = _removed_positive_modes(small_eigenvalues, alpha)
+    modes lambda <= alpha, alpha in (0, 1/4).  Listed zero modes need no
+    removal: the tail constant c_M drops them already."""
+    removed = _removed_eigenvalues(small_eigenvalues, alpha, positive=True)
 
     def truncated(t: np.ndarray):
         return np.asarray(trace(t), dtype=float) - sum(
@@ -556,7 +554,7 @@ def truncated_zeta(spectral_input, alpha: float, s, *,
                                      removed=removed)
         return complex(value)
     lams = [float(x) for x in spectral_input]
-    _removed_eigenvalues(lams, alpha, closed_below=False)
+    _removed_eigenvalues(lams, alpha, positive=True)
     return spectral_zeta_series([lam for lam in lams if lam > alpha], s)
 
 
@@ -634,7 +632,8 @@ def _geodesic_cone_zeta(lengths, orders, s, z, tol: float) -> complex:
     the same exp-sinh integral as an opaque trace's (_continued_mellin),
     its error judged in the value's units and held to tol max(1, b_0).
     The remainder is O(t) but its rounding noise, ~eps b_0, is not, so with
-    cones Re(s) > 0.  At large |Im s|, where |1/Gamma(s)| magnifies the
+    cones Re(s) > 0; without, HTr is O(e^{-l^2/4t}), its term 0 t^inf, and
+    every s is continued.  At large |Im s|, where |1/Gamma(s)| magnifies the
     integral's rounding past that tolerance, QuadratureError is raised."""
     s, b0 = complex(s), _cone_b0(orders)
     if orders and s.real <= 0.0:
@@ -642,7 +641,7 @@ def _geodesic_cone_zeta(lengths, orders, s, z, tol: float) -> complex:
     tol *= max(1.0, b0)
     return complex(_continued_mellin(
         lambda t: hyperbolic_trace(lengths, t) + elliptic_trace_u(orders, t, tol),
-        s, [(0.0, b0)], 0.0, tol, 0.25, z=z)[0])
+        s, [(0.0, b0) if orders else (math.inf, 0.0)], 0.0, tol, 0.25, z=z)[0])
 
 
 def _cone_zeta_prime_zero(orders, tol: float) -> float:
@@ -691,8 +690,8 @@ def surface_log_det(surface: SurfaceData, alpha: float | None = None, *,
     """log det of the surface Laplacian, -(d/ds) at 0 of surface_zeta, in
     closed form; zero modes add nothing.  alpha in (0, 1/4) also removes the
     listed eigenvalues in (0, alpha]."""
-    removed = ([] if alpha is None else
-               _removed_positive_modes(surface.small_eigenvalues, alpha))
+    removed = ([] if alpha is None else _removed_eigenvalues(
+        surface.small_eigenvalues, alpha, positive=True))
     return -_zeta_prime_zero(surface.length_spectrum, surface.elliptic_orders,
                              surface.volume, tol) - sum(map(math.log, removed))
 
@@ -717,7 +716,8 @@ def degeneration_subtraction_zeta(family: DegeneratingFamily, alpha: float,
     Returns rows (prod q_gamma, value); convergence of the paper-style limit
     shows up as Cauchy-shrinking differences down the rows.
     """
-    modes = _removed_positive_modes(family.template.small_eigenvalues, alpha)
+    modes = _removed_eigenvalues(family.template.small_eigenvalues, alpha,
+                                 positive=True)
     if mode not in ("zeta", "hurwitz", "logdet"):
         raise DomainError(f"unknown mode '{mode}'")
     if mode == "hurwitz" and (z is None or complex(z).real <= 0):

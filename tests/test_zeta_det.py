@@ -18,8 +18,7 @@ from scipy.special import zeta as riemann_zeta
 from degenspec import special_fn, zeta_det
 from degenspec.errors import (AlphaCollisionError, DivergenceError,
                               DomainError, ExpansionMismatchError, FitError,
-                              InsufficientSubtractionsError,
-                              NonFiniteIntegrandError, PoleError,
+                              InsufficientSubtractionsError, PoleError,
                               QuadratureError, StripViolationError)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.special_fn import as_array_fn, integrate_semi_infinite
@@ -533,7 +532,7 @@ class TestSurfaceTermByTerm:
     """The closed forms behind surface_zeta and surface_log_det."""
 
     @pytest.mark.parametrize("s", [0.3 + 1.8j, 2.0, 0.5 + 19j, -0.7 + 0.2j,
-                                   3.0 - 5j])
+                                   3.0 - 5j, -1.5, -2.5 + 1j])
     def test_identity_zeta(self, bare_surface, s):
         # genus 2 with no geodesics or cones: the identity term alone
         assert bare_surface.volume == pytest.approx(4.0 * math.pi, rel=1e-15)
@@ -675,11 +674,26 @@ class TestSurfaceTermByTerm:
         assert abs(value - oracle) <= 1e-10
 
     def test_surface_zeta_passes_on_an_error_without_a_value(
-            self, compact_surface):
-        # t^{s-1} overflows at s = 400: the integrand's error has no value
-        # for the identity term to be added to
-        with pytest.raises(NonFiniteIntegrandError):
-            surface_zeta(compact_surface, 400.0)
+            self, compact_surface, monkeypatch):
+        # an error without a value has none for the identity term to join
+        raised = QuadratureError("no value", value=None, error_estimate=1.0)
+
+        def fail(*args):
+            raise raised
+        monkeypatch.setattr(zeta_det, "_geodesic_cone_zeta", fail)
+        with pytest.raises(QuadratureError) as info:
+            surface_zeta(compact_surface, 0.5 + 10j)
+        assert info.value is raised and info.value.value is None
+
+    @pytest.mark.parametrize("s", [-1.5, -2.5 + 1j, -0.7 + 0.2j])
+    def test_cone_free_surface_left_of_zero(self, s):
+        # without cones HTr is O(e^{-l^2/4t}) at t = 0, no power of t left
+        # to subtract, so its Mellin integral converges at every s
+        surface = SurfaceData(genus=2, num_cusps=0,
+                              length_spectrum=((1.0, 1), (1.5, 2)))
+        oracle = mp_surface_zeta(surface, s)
+        value = surface_zeta(surface, s, tol=1e-12)
+        assert abs(value - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
     def test_np_elliptic_oracle_matches_mpmath(self):
         s = 0.278 + 1.826j

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy import special as _sp
 
 from .errors import DomainError, ModelValidationError
-from .special_fn import as_array_fn, digamma, integrate_finite, log_gamma
+from .special_fn import as_array_fn, integrate_finite, log_gamma
 
 __all__ = [
     "ScatteringModel",
@@ -99,19 +100,28 @@ def counting_compact(eigenvalues, w: float, T: float) -> float:
     return float(np.sum((T - kept) ** w))
 
 
-def _weighted_interval_integral(g: Callable, w: float, T: float,
+def _weighted_interval_integral(folded: Callable, w: float, T: float,
                                 tol: float) -> float:
-    """int_{-R}^{R} (T - 1/4 - r^2)^w g(r) dr with R = sqrt(T - 1/4),
-    via r = R sin(theta) which absorbs the endpoint factor cos^{2w+1}."""
+    """int_{-R}^{R} (T - 1/4 - r^2)^w g(r) dr with R = sqrt(T - 1/4), given
+    folded(r) = g(r) + g(-r) (array-native, r >= 0): the integral over
+    [0, R], via r = R sin(theta) which absorbs the endpoint factor
+    cos^{2w+1}, as one tanh-sinh integral on [0, pi/2], whose nodes crowd
+    both ends, r = 0 and the factor's end."""
     R = math.sqrt(T - 0.25)
     two_w = 2.0 * w + 1.0
-    g = as_array_fn(g)
 
     def integrand(theta: np.ndarray):
-        return R ** two_w * np.cos(theta) ** two_w * g(R * np.sin(theta))
+        return R ** two_w * np.cos(theta) ** two_w * folded(R * np.sin(theta))
 
-    res = integrate_finite(integrand, -0.5 * math.pi, 0.5 * math.pi, tol)
+    res = integrate_finite(integrand, 0.0, 0.5 * math.pi, tol,
+                           rule="tanh-sinh")
     return float(np.real(res.value))
+
+
+def _fold(g: Callable) -> Callable:
+    """r -> g(r) + g(-r) for a caller's g, lifted to arrays."""
+    g = as_array_fn(g)
+    return lambda r: g(r) + g(-r)
 
 
 def counting_noncompact(eigenvalues, p: int, scattering: ScatteringModel,
@@ -137,11 +147,13 @@ def counting_noncompact(eigenvalues, p: int, scattering: ScatteringModel,
     scattering.validate(p)
 
     total = discrete
-    total -= _weighted_interval_integral(scattering.phi_log_deriv, w, T, tol) \
-        / (4.0 * math.pi)
+    total -= _weighted_interval_integral(
+        _fold(scattering.phi_log_deriv), w, T, tol) / (4.0 * math.pi)
     if p > 0:
+        # psi(1 - ir) is the conjugate of psi(1 + ir): the fold of
+        # Re psi(1 + ir) is twice it
         total += p / (2.0 * math.pi) * _weighted_interval_integral(
-            lambda r: digamma(complex(1.0, r)).real, w, T, tol)
+            lambda r: 2.0 * _sp.digamma(1.0 + 1j * r).real, w, T, tol)
         gamma_ratio = math.exp(log_gamma(w + 1.0) - log_gamma(w + 1.5))
         total += (p * math.log(2.0) * gamma_ratio / math.sqrt(4.0 * math.pi)
                   * (T - 0.25) ** (w + 0.5))
@@ -159,7 +171,7 @@ def counting_noncompact_hat(eigenvalues, scattering: ScatteringModel,
     if T <= 0.25:
         return discrete
     return discrete - _weighted_interval_integral(
-        scattering.phi_log_deriv, w, T, tol) / (4.0 * math.pi)
+        _fold(scattering.phi_log_deriv), w, T, tol) / (4.0 * math.pi)
 
 
 def weight_lowering(N_higher: Callable, w: float, T: float,

@@ -27,7 +27,7 @@ from scipy.special import jv
 from .errors import DomainError, FitError
 from .geometry import DegeneratingFamily, SurfaceData
 from .special_fn import integrate_finite
-from .traces import cone_integral, fermi_weight
+from .traces import cone_integral, fermi_fold
 
 __all__ = [
     "CwKernel",
@@ -92,17 +92,23 @@ def elliptic_sum_s(q: int) -> float:
 
 def _kernel_integral(beta: float, w: float, T: float, tol: float) -> float:
     """int_{-R}^{R} (T - 1/4 - r^2)^w fermi(beta, r) dr via r = R sin(theta),
-    which turns the endpoint factor into cos^{2w+1}(theta)."""
+    which turns the endpoint factor into cos^{2w+1}(theta), folded onto
+    [0, pi/2] by adding the integrand at theta and -theta: the Fermi
+    weights at r and -r add up to the even fermi_fold, and the fold puts
+    the weight's poles nearest the real axis, at theta ~ +-i/(2R), by the
+    end theta = 0, where the tanh-sinh nodes crowd.  One tanh-sinh
+    integral, two or three integrand calls up to T = 1e5."""
     if T <= 0.25:
         return 0.0
     R = math.sqrt(T - 0.25)
     power = 2.0 * w + 1.0
 
     def integrand(theta: np.ndarray):
-        r = R * np.sin(theta)
-        return R ** power * np.cos(theta) ** power * fermi_weight(beta, r)
+        return R ** power * np.cos(theta) ** power \
+            * fermi_fold(beta, R * np.sin(theta))
 
-    res = integrate_finite(integrand, -0.5 * math.pi, 0.5 * math.pi, tol)
+    res = integrate_finite(integrand, 0.0, 0.5 * math.pi, tol,
+                           rule="tanh-sinh")
     return float(np.real(res.value))
 
 

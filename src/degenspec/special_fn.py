@@ -1,34 +1,42 @@
-"""Special functions and the two quadrature engines used by every module.
+"""Special functions and the three quadrature rules used by every module.
 
-integrate_semi_infinite(..., rule="exp-sinh") is a double-exponential rule
-(Takahasi-Mori 1974) for integrands known to be analytic on (0, inf): the
-map u = L exp((pi/2) sinh tau), L = 1/decay, and the trapezoid rule in tau,
-with the step halved from 1/2 until two successive levels agree, or from
-level 4 on until the last difference, extrapolated, falls below the
-rounding of the sum.  The first
-level is one array call of the integrand, the new nodes of levels 1-4 one
-more, and each later level one more; the nodes' abscissae and weights are
-tabulated once per level.  It serves every half-line integrand the package
-writes itself, all analytic in a strip: the cone, plane-kernel and identity
-integrals, the r-form of ETr, the Selberg heat-trace integral and the one
-Mellin integral of `zeta_det`, for opaque traces and surfaces alike.  An
-array of decay rates batches a family of such integrals, one row per entry
-(the heat-trace terms at every t of a grid or of a Mellin panel): each call
-is then on a (rows, nodes) array.
+integrate_semi_infinite(..., rule="exp-sinh") and integrate_finite(...,
+rule="tanh-sinh") are the double-exponential rules (Takahasi-Mori 1974) for
+integrands known to be analytic on (0, inf) and on (a, b): the maps
+u = L exp((pi/2) sinh tau), L = 1/decay, and x = c + d tanh((pi/2) sinh tau),
+and the trapezoid rule in tau, with the step halved from 1/2 until two
+successive levels agree, or from level 4 on until the last difference,
+extrapolated, falls below the rounding of the sum.  Both maps go through
+one level loop (_de_rows): the first level is one array call of the
+integrand, the new nodes of levels 1-4 one more, and each later level one
+more; the nodes are tabulated once per level and map (_de_level,
+_ts_level), and the look-ahead windows once per window (_de_nodes).
+exp-sinh serves every half-line integrand the package writes itself, all
+analytic in a strip: the cone, plane-kernel and identity integrals, the
+r-form of ETr, the Selberg heat-trace integral and the one Mellin integral
+of `zeta_det`, for opaque traces and surfaces alike.  An array of decay
+rates batches a family of such integrals, one row per entry (the
+heat-trace terms at every t of a grid or of a Mellin panel): each call is
+then on a (rows, nodes) array.  tanh-sinh serves the two theta-integrals
+on [0, pi/2], the Fermi-weighted c_w kernel and the non-compact counting
+terms; it takes each node's distance to its end of the interval from its
+table, so an integrable singularity at an end 0 converges like an
+analytic integrand.
 
 The adaptive engine, a 7-15 Gauss-Kronrod rule driven by worst-interval
-bisection, serves finite intervals and the half-line integrands built from
-a caller's function h(t) (transform_H, transform_Hhat, geometric_side,
-noncompact_spectral_terms), which may jump or kink.  It stays for those:
-on 1_{t<1} e^{-t} exp-sinh raises at every tol from 1e-8 to 1e-12 (its
-levels stall 4e-6 apart), and on e^{-|t-1|} at tol 1e-10 (they stall
-3e-10 apart), while the adaptive rule meets 1e-12 on both.  Semi-infinite
-integrals are mapped onto [0, 1] with t = L*u/(1-u), where the scale L is
-chosen from the caller's exponential decay hint.  The rule never samples
-interval endpoints, so integrable endpoint singularities, such as
-inverse-square-root factors, are handled by plain subdivision.  The initial
-panel layout is one integrand call, and so is each bisection, on the nodes
-of both halves.
+bisection, is the default of both entry points and serves the half-line
+integrands built from a caller's function h(t) (transform_H,
+transform_Hhat, geometric_side, noncompact_spectral_terms), which may jump
+or kink.  It stays for those: on 1_{t<1} e^{-t} exp-sinh raises at every
+tol from 1e-8 to 1e-12 (its levels stall 4e-6 apart), and on e^{-|t-1|} at
+tol 1e-10 (they stall 3e-10 apart), while the adaptive rule meets 1e-12 on
+both; tanh-sinh raises on e^{-|x-0.3|} over [0, 1] at tol 1e-12.
+Semi-infinite integrals are mapped onto [0, 1] with t = L*u/(1-u), where
+the scale L is chosen from the caller's exponential decay hint.  The rule
+never samples interval endpoints, but bisection gains little on an
+endpoint singularity: it reaches 5e-7 on t^{-1/2} and collapses on t^{-0.4}
+at tol 1e-12, which tanh-sinh meets.  The initial panel layout is one
+integrand call, and so is each bisection, on the nodes of both halves.
 """
 
 from __future__ import annotations
@@ -108,6 +116,11 @@ _EPS = float(np.finfo(float).eps)
 # 1/4), up to T = 3e6 (at T = 1e7 the levels still differ by 4e-9).  Both
 # ends lie on the first level's grid of step 1/2.
 _DE_TAU = (-5.0, 4.0)
+# tanh-sinh rule: the tau window keeps each node's distance 1 - |tanh s|,
+# s = (pi/2) sinh tau, to its end of [-1, 1] above 1e-275 and its weight
+# above 1e-272, so neither underflows; an integrable t^{a-1} at an end 0
+# loses at most about (1e-275)^a/a.  Both ends lie on the first level's grid.
+_TS_TAU = (-6.0, 6.0)
 _DE_LEVELS = 16
 # two levels cannot agree closer than the rounding of their sums, a few ulp
 # of the integral of |f|
@@ -257,13 +270,27 @@ def _adaptive(fvec, a: float, b: float, tol: float, limit: int,
 
 
 def integrate_finite(f: Callable, a: float, b: float, tol: float = _DEFAULT_TOL,
-                     *, limit: int = _DEFAULT_LIMIT) -> QuadratureResult:
+                     *, limit: int = _DEFAULT_LIMIT,
+                     rule: str = "gauss-kronrod") -> QuadratureResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
-    Endpoint algebraic singularities of integrable type are admissible: the
-    rule is open, and adaptive bisection concentrates panels at the endpoint.
+    rule="gauss-kronrod" (any f, the rule for functions that may jump or
+    kink): adaptive bisection, at most `limit` intervals.  It never samples
+    the endpoints, but bisection gains only a factor 2^{1/2} a level on
+    t^{-1/2} and collapses below machine resolution on t^{-0.4} at tol
+    1e-12: integrands with an endpoint singularity take rule="tanh-sinh".
+
+    rule="tanh-sinh" (f analytic on (a, b), array-native, finite at every
+    node): the double-exponential rule, two array calls of f for most
+    integrals (see _tanh_sinh); integrable algebraic singularities at an
+    endpoint 0 are admissible, `limit` does not apply.
     """
-    return _adaptive(as_array_fn(f), float(a), float(b), tol, limit)
+    a, b = float(a), float(b)
+    if rule == "tanh-sinh":
+        return _tanh_sinh(f, a, b, tol)
+    if rule != "gauss-kronrod":
+        raise DomainError(f"unknown quadrature rule {rule!r}")
+    return _adaptive(as_array_fn(f), a, b, tol, limit)
 
 
 def integrate_semi_infinite(f: Callable, decay: float | np.ndarray = 1.0,
@@ -318,26 +345,9 @@ def _exp_sinh(f: Callable, decay, tol: float) -> QuadratureResult:
     on (0, inf).
 
     u = L exp((pi/2) sinh tau) with L = 1/decay, and the trapezoid rule in
-    tau with step h = 1/2, 1/4, ...; each level adds the nodes halfway
-    between the last level's.  The first level is one call of f on the
-    whole tau window and trims it to the nodes whose terms exceed eps times
-    the largest one, plus one node on each side; the window's end terms
-    enter the error estimate, so an integrand that has not died out inside
-    it cannot converge.  Levels 1 to _DE_AHEAD are then one call of f on all
-    their new nodes in the window (15 per first-level node), and each later
-    level one call on its own; the levels' sums and stop tests still go one
-    level after the other, so the result is that of one call per level.
-    The nodes' abscissae e^{(pi/2) sinh tau} and weights (pi/2) cosh tau
-    are slices of tables built once per level (_de_level).  The result is
-    the first level, from the third on, that agrees with the one before to
-    tol, or to a few ulp of the integral of |f| where that is larger;
-    QuadratureError carries the last level if none does by h = 2^-16.  From
-    level _DE_AHEAD on, where the next level costs a call of f, a level
-    also stops when its difference d_k, extrapolated geometrically with
-    the ratio d_k/d_{k-1}, puts its own error below that rounding floor:
-    the level after it could only confirm it.  Without this the cost of an
-    integral jumps by a call of f on 16 nodes per first-level node wherever
-    the difference at level _DE_AHEAD lands just above tol.
+    tau over the levels of _de_rows, on the tables of _de_level: abscissae
+    e^{(pi/2) sinh tau} and weights (pi/2) cosh tau, so a node's term is
+    f(u) u times its weight.
 
     A 1-D array decay gives one integral per entry (a row): f is then
     called as f(u, rows), u of shape (len(rows), n) for the index array
@@ -362,79 +372,181 @@ def _exp_sinh(f: Callable, decay, tol: float) -> QuadratureResult:
     # floating-point warnings are ignored, as as_array_fn does
     with np.errstate(all="ignore"):
         if not batch:
-            values, errors, converged, evaluations = _exp_sinh_rows(
-                f, 1.0 / decay, tol)
+            parts = [_exp_sinh_rows(f, 1.0 / decay, tol)]
         else:
-            values, errors, converged, evaluations = [], [], [], 0
-            for k in range(0, decay.size, _DE_ROWS):
-                part = _exp_sinh_rows(f, 1.0 / decay[k:k + _DE_ROWS], tol, k)
-                values += part[0]
-                errors += part[1]
-                converged += part[2]
-                evaluations += part[3]
+            parts = [_exp_sinh_rows(f, 1.0 / decay[k:k + _DE_ROWS], tol, k)
+                     for k in range(0, decay.size, _DE_ROWS)]
+    return _de_result("exp-sinh", parts, tol, batch)
+
+
+def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
+    """_de_rows on the exp-sinh tables for map scales `scales`: a 1-D array
+    of rows, the entries start, start + 1, ... of the batch, for which f is
+    called as f(u, rows) with u of shape (rows, n) and the index array of
+    the rows still running; or one number, for which f(u) is called on a
+    1-D u."""
+    batch = isinstance(scales, np.ndarray)
+
+    def terms(x: np.ndarray, w: np.ndarray, live: np.ndarray) -> tuple:
+        # u and the terms f(u) u w, one row per running row, also when u
+        # is 1-D
+        u = scales[live, None] * x if batch else scales * x
+        y = f(u, start + live) if batch else f(u)
+        return u.reshape(len(live), -1), \
+            (y * (u * w)).reshape(len(live), -1)
+
+    return _de_rows(terms, _de_level, len(scales) if batch else 1, tol)
+
+
+def _tanh_sinh(f: Callable, a: float, b: float, tol: float) -> QuadratureResult:
+    """The tanh-sinh rule (Takahasi-Mori 1974) over [a, b] for f analytic on
+    (a, b).
+
+    x = c + d tanh s, s = (pi/2) sinh tau, c and d the midpoint and half
+    length, and the trapezoid rule in tau over the levels of _de_rows, on
+    the tables of _ts_level.  A node's distance to its end of the interval,
+    d (1 - |tanh s|), comes from the table and is taken off that end, not
+    found as c + d tanh s, which rounds to the end once 1 - |tanh s| < eps:
+    at an endpoint 0 every node keeps full relative precision, so an
+    integrable singularity there, such as t^{-0.4}, converges like any
+    analytic integrand (elsewhere nodes within rounding of an end land on
+    it).  A jump or a kink inside (a, b) makes the levels converge only
+    algebraically, and the rule raises QuadratureError by h = 2^-16.  f is
+    called directly on a 1-D array, with floating-point warnings ignored.
+    """
+    if tol <= 0:
+        raise DomainError("tolerance must be > 0")
+    if b < a:
+        raise DomainError(f"invalid interval: a={a} > b={b}")
+    d = 0.5 * (b - a)
+
+    def terms(e: np.ndarray, w: np.ndarray, live) -> tuple:
+        x = np.where(e < 0.0, a, b) - d * e
+        return x[None], (f(x) * (d * w))[None]
+
+    with np.errstate(all="ignore"):
+        part = _de_rows(terms, _ts_level, 1, tol)
+    return _de_result("tanh-sinh", [part], tol, False)
+
+
+def _de_result(rule: str, parts: list, tol: float,
+               batch: bool) -> QuadratureResult:
+    """The result of the _de_rows blocks `parts` of one call, or the
+    QuadratureError that carries it if a row did not converge."""
+    values, errors, converged = ([v for part in parts for v in part[k]]
+                                 for k in range(3))
+    evaluations = sum(part[3] for part in parts)
     value = np.asarray(values) if batch else values[0]
     error = max(errors)
     if not all(converged):
         raise QuadratureError(
-            f"exp-sinh levels did not agree by step 2^-{_DE_LEVELS - 1}: "
+            f"{rule} levels did not agree by step 2^-{_DE_LEVELS - 1}: "
             f"difference {error:.3e} > {tol:.3e}",
             value=value, error_estimate=error, evaluations=evaluations)
     return QuadratureResult(value, error, evaluations)
 
 
+def _tau(level: int, lo: float, hi: float) -> np.ndarray:
+    """The tau that level `level` adds over the window [lo, hi]: the grid of
+    step 1/2 at level 0; tau = lo + h (2m + 1), h = 2^(-level-1), after, so
+    the window between first-level nodes i and j is the slice
+    [i 2^(level-1), j 2^(level-1)), the nodes a + h, a + 3h, ... from
+    a = tau_i."""
+    if level == 0:
+        return 0.5 * np.arange(math.ceil(2.0 * lo), math.floor(2.0 * hi) + 1)
+    h = 0.5 ** (level + 1)
+    return lo + h * np.arange(1.0, (hi - lo) / h, 2.0)
+
+
+def _read_only(*tables: np.ndarray) -> tuple:
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 @cache
 def _de_level(level: int) -> tuple:
-    """The nodes that exp-sinh level `level` adds over the whole tau window,
-    as read-only arrays of the abscissae e^{(pi/2) sinh tau} (u/L) and the
-    weights (pi/2) cosh tau, built on first use.  Level 0 is the grid of
-    step 1/2; level k > 0 has tau = lo + h (2m + 1), h = 2^(-k-1), so the
-    window between first-level nodes i and j is its slice
-    [i 2^(k-1), j 2^(k-1)), the nodes a + h, a + 3h, ... from a = tau_i."""
-    lo, hi = _DE_TAU
-    if level == 0:
-        tau = 0.5 * np.arange(math.ceil(2.0 * lo), math.floor(2.0 * hi) + 1)
-    else:
-        h = 0.5 ** (level + 1)
-        tau = lo + h * np.arange(1.0, (hi - lo) / h, 2.0)
-    x = np.exp(0.5 * math.pi * np.sinh(tau))
-    w = 0.5 * math.pi * np.cosh(tau)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    """The nodes that exp-sinh level `level` adds over the tau window
+    _DE_TAU (see _tau), as read-only arrays of the abscissae
+    e^{(pi/2) sinh tau} (u/L) and the weights (pi/2) cosh tau, built on
+    first use."""
+    tau = _tau(level, *_DE_TAU)
+    return _read_only(np.exp(0.5 * math.pi * np.sinh(tau)),
+                      0.5 * math.pi * np.cosh(tau))
 
 
-def _de_nodes(levels: range, i: int, j: int) -> tuple:
-    """Abscissae and weights of the nodes that `levels` add in the window
-    between first-level nodes i and j, level after level."""
+@cache
+def _ts_level(level: int) -> tuple:
+    """The nodes that tanh-sinh level `level` adds over the tau window
+    _TS_TAU (see _tau), as read-only arrays, built on first use: the
+    distance 1 - |tanh s| = 2/(e^{2|s|} + 1) of each node to its end of
+    [-1, 1], s = (pi/2) sinh tau, negative for the left end (tau < 0), and
+    the weights (pi/2) cosh tau (1 - tanh^2 s), with 1 - tanh^2 s taken as
+    the distance times 2 minus it, so neither rounds to 0 before it
+    underflows."""
+    tau = _tau(level, *_TS_TAU)
+    distance = 2.0 / (np.exp(math.pi * np.abs(np.sinh(tau))) + 1.0)
+    return _read_only(np.copysign(distance, tau),
+                      0.5 * math.pi * np.cosh(tau) * distance
+                      * (2.0 - distance))
+
+
+# the levels most integrals stop by are tabulated at import, ~0.4 ms, which
+# a process's first integral would otherwise pay, more than it costs itself
+for _level in range(_DE_AHEAD + 1):
+    _de_level(_level), _ts_level(_level)
+del _level
+
+
+@cache
+def _de_nodes(table: Callable, first: int, last: int, i: int, j: int) -> tuple:
+    """Abscissae and weights of the nodes that levels first..last of
+    `table` add in the window between first-level nodes i and j, level
+    after level, as read-only arrays built once per window."""
     parts = []
-    for k in levels:
-        x, w = _de_level(k)
+    for k in range(first, last + 1):
+        x, w = table(k)
         span = slice(i << (k - 1), j << (k - 1))
         parts.append((x[span], w[span]))
     if len(parts) == 1:
         return parts[0]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    return _read_only(*(np.concatenate(p) for p in zip(*parts)))
 
 
-def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
-    """The levels of _exp_sinh for map scales `scales`: a 1-D array of rows,
-    the entries start, start + 1, ... of the batch, for which f is called as
-    f(u, rows) with u of shape (rows, n) and the index array of the rows
-    still running; or one number, for which f(u) is called on a 1-D u.
+def _de_rows(terms: Callable, table: Callable, count: int,
+             tol: float) -> tuple:
+    """The levels of a double-exponential rule for `count` rows: the
+    trapezoid rule in tau with step h = 1/2, 1/4, ..., each level adding
+    the nodes halfway between the last level's, on the per-level tables
+    `table` (_de_level or _ts_level).  terms(x, w, live) gives the
+    abscissae and the terms of the rows `live` (an index array) at table
+    nodes x, w, each of shape (len(live), nodes).
+
+    The first level is one call on the whole tau window and trims it to
+    the nodes where some row's term exceeds eps times its largest one,
+    plus one node on each side; the window's end terms enter the error
+    estimate, so an integrand that has not died out inside it cannot
+    converge.  Levels 1 to _DE_AHEAD are then one call on all their new
+    nodes in the window (15 per first-level node, _de_nodes), and each
+    later level one call on its own; the levels' sums and stop tests still
+    go one level after the other, so the result is that of one call per
+    level.  A row's result is the first level, from the third on, that
+    agrees with the one before to tol, or to a few ulp of the integral of
+    |f| where that is larger; by h = 2^-16 it is the last level, flagged as
+    not converged.  From level _DE_AHEAD on, where the next level costs a
+    call, a level also stops when its difference d_k, extrapolated
+    geometrically with the ratio d_k/d_{k-1}, puts its own error below
+    that rounding floor: the level after it could only confirm it.
+    Without this the cost of an integral jumps by a call on 16 nodes per
+    first-level node wherever the difference at level _DE_AHEAD lands just
+    above tol.  A row stops being evaluated once it has stopped, after the
+    look-ahead call.
+
     Returns the rows' values, error estimates and convergence flags as
-    lists, and the count of evaluations: every node f was called on, also
-    the look-ahead nodes of a row that stopped at level 2 or 3."""
-    batch = isinstance(scales, np.ndarray)
-    live = list(range(len(scales) if batch else 1))  # the rows still running
-    rows = np.arange(start, start + len(live))
-    column = scales[:, None] if batch else scales
-
-    def terms(x: np.ndarray, w: np.ndarray) -> tuple:
-        # u and the terms f(u) u w, one row per running row, also when u
-        # is 1-D
-        u = column * x
-        y = f(u, rows) if batch else f(u)
-        return u.reshape(len(rows), -1), \
-            (y * (u * w)).reshape(len(rows), -1)
+    lists, and the count of evaluations: every node a call was made on,
+    also the look-ahead nodes of a row that stopped at level 2 or 3."""
+    live = list(range(count))  # the rows still running
+    running = np.arange(count)  # the rows the next call evaluates
 
     def non_finite(u: np.ndarray, values: np.ndarray):
         bad = u[~np.isfinite(values)]
@@ -442,8 +554,8 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
             f"integrand returned a non-finite value near u={bad[0]:.6g}")
 
     h = 0.5
-    x0, w0 = _de_level(0)
-    u, first = terms(x0, w0)
+    x0, w0 = table(0)
+    u, first = terms(x0, w0, running)
     if not np.isfinite(first).all():
         raise non_finite(u, first)
     evaluations = first.size
@@ -459,17 +571,17 @@ def _exp_sinh_rows(f: Callable, scales, tol: float, start: int = 0) -> tuple:
     # the first level's integral of |f| sets each row's rounding floor
     floor = (_DE_ROUNDING * h * size[:, i:j + 1].sum(axis=1)).tolist()
     stop = [max(tol, x) for x in floor]
-    error = [math.inf] * len(live)
-    step = [math.inf] * len(live)  # each row's last difference of levels
-    place = list(range(len(live)))  # the running rows' places in the block
+    error = [math.inf] * count
+    step = [math.inf] * count  # each row's last difference of levels
+    place = list(range(count))  # the running rows' places in the block
     for level in range(1, _DE_LEVELS):
         if level == 1 or level > _DE_AHEAD:
             # one call on the nodes of levels 1.._DE_AHEAD, then one a level
-            if len(live) < len(rows):
-                rows, column = rows[place], column[place]
+            if len(live) < len(running):
+                running = np.asarray(live)
                 place = list(range(len(live)))
             last = _DE_AHEAD if level == 1 else level
-            u, block = terms(*_de_nodes(range(level, last + 1), i, j))
+            u, block = terms(*_de_nodes(table, level, last, i, j), running)
             evaluations += block.size
             end = 0
         h *= 0.5

@@ -45,6 +45,7 @@ __all__ = [
     "TraceSeries",
     "TestFunctionPair",
     "fermi_weight",
+    "fermi_fold",
     "identity_trace",
     "geodesic_sum",
     "hyperbolic_trace",
@@ -114,6 +115,16 @@ def fermi_weight(beta: float, r: np.ndarray) -> np.ndarray:
     rn = r[~pos]
     out[~pos] = np.exp(2.0 * math.pi * (1.0 - beta) * rn) / (1.0 + np.exp(2.0 * math.pi * rn))
     return out
+
+
+def fermi_fold(beta: float, r: np.ndarray) -> np.ndarray:
+    """fermi_weight(beta, r) + fermi_weight(beta, -r) for r >= 0, in its
+    even closed form
+    (e^{-2 pi beta r} + e^{-2 pi (1 - beta) r})/(1 + e^{-2 pi r}),
+    which no r >= 0 overflows."""
+    return (np.exp(-2.0 * math.pi * beta * r)
+            + np.exp(-2.0 * math.pi * (1.0 - beta) * r)) \
+        / (1.0 + np.exp(-2.0 * math.pi * r))
 
 
 def _times(t) -> tuple:
@@ -402,7 +413,7 @@ def elliptic_trace_r(orders, t: float, tol: float = 1e-12) -> float:
             beta = n / q
 
             def integrand(r: np.ndarray, b=beta):
-                return np.exp(-t * r * r) * (fermi_weight(b, r) + fermi_weight(b, -r))
+                return np.exp(-t * r * r) * fermi_fold(b, r)
 
             res = integrate_semi_infinite(integrand, decay=rate, tol=tol,
                                           rule="exp-sinh")

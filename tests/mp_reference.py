@@ -89,6 +89,22 @@ def _mp_cone_integral(orders, weight):
     return total
 
 
+def mp_cw_kernel(T, w, beta):
+    """c_w(T) at beta: (1/pi) int_{-R}^{R} (T - 1/4 - r^2)^w fermi(beta, r)
+    dr, R = sqrt(T - 1/4), in theta with r = R sin(theta), unfolded, split
+    at theta = 0."""
+    with mp.workdps(MP_DPS):
+        T, w, beta = mp.mpf(T), mp.mpf(w), mp.mpf(beta)
+        R = mp.sqrt(T - mp.mpf(1) / 4)
+
+        def f(theta):
+            r = R * mp.sin(theta)
+            return (R * mp.cos(theta)) ** (2 * w + 1) * mp.exp(
+                -2 * mp.pi * beta * r) / (1 + mp.exp(-2 * mp.pi * r))
+
+        return float(mp.quad(f, [-mp.pi / 2, 0, mp.pi / 2]) / mp.pi)
+
+
 def mp_elliptic_zeta(orders, s):
     with mp.workdps(MP_DPS):
         s = mp.mpc(s)

@@ -149,6 +149,45 @@ class TestNoncompact:
         assert all(b >= a - 1e-10 for a, b in zip(vals[:-1], vals[1:]))
 
 
+# counting_noncompact([0, 0.3], p, model, w, T) on the models above, as the
+# adaptive Gauss-Kronrod rule gave them on [-pi/2, pi/2] before the
+# theta-integrals were folded onto [0, pi/2] for the tanh-sinh rule
+GAUSS_KRONROD_VALUES = [
+    ("constant", 0, 0.0, 1.25, 2.2546479089470326),
+    ("constant", 1, 1.0, 10.0, 27.923531900745996),
+    ("trace", 1, 0.0, 50.0, 8.188386294383731),
+    ("five-term", 2, 0.5, 2.0, 2.5926306213889245),
+    ("five-term", 2, 1.0, 50.0, 364.01636434557815),
+    ("hat", 2, 0.5, 0.9, 1.6521613898740344),
+    ("hat", 1, 1.0, 50.0, 308.8180798172405),
+    ("lorentzian", 1, 0.5, 10.0, 10.798942613556715),
+    ("lorentzian", 1, 1.0, 50.0, 282.0132571169076),
+    # an odd part, which the fold cancels
+    ("odd-part", 1, 0.5, 10.0, 10.229262798018965),
+    ("odd-part", 1, 1.0, 50.0, 271.58589684647666),
+]
+MODELS = {
+    "constant": lambda: ScatteringModel(phi_log_deriv=lambda r: -1.6,
+                                        q_M=1.2),
+    "trace": lambda: ScatteringModel(phi_log_deriv=lambda r: -2.0,
+                                     trace_phi_half=1.0, q_M=math.e),
+    "five-term": lambda: ScatteringModel(phi_log_deriv=lambda r: -2.2,
+                                         trace_phi_half=-1.0, q_M=1.4),
+    "hat": lambda: ScatteringModel(phi_log_deriv=lambda r: -3.0, q_M=1.3),
+    "lorentzian": lambda: ScatteringModel(
+        phi_log_deriv=lambda r: -2.0 - 1.0 / (1.0 + r * r), q_M=math.e),
+    "odd-part": lambda: ScatteringModel(
+        phi_log_deriv=lambda r: -2.0 - 0.5 * np.tanh(r), q_M=math.e),
+}
+
+
+@pytest.mark.parametrize("model, p, w, T, value", GAUSS_KRONROD_VALUES)
+def test_folded_tanh_sinh_keeps_the_gauss_kronrod_values(model, p, w, T,
+                                                         value):
+    assert abs(counting_noncompact([0.0, 0.3], p, MODELS[model](), w, T)
+               - value) <= 1e-12
+
+
 class TestWeightLowering:
     def test_riesz_mean_derivative(self):
         # N_{w+1}(T) = (T - 0.1)^1 near T = 0.5: derivative 1, so the

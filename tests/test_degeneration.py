@@ -16,8 +16,10 @@ from degenspec.degeneration import (CwKernel, SlopeFit, _kernel_integral,
                                     c_w_kernel, elliptic_sum_s, error_term_experiment,
                                     fit_slope_vs_logQ, g_degenerating_counting,
                                     optimize_epsilon)
+from degenspec import degeneration
 from degenspec.errors import DomainError, FitError
 from degenspec.geometry import DegeneratingFamily, SurfaceData, hecke_family
+from mp_reference import mp_cw_kernel
 
 LOG2_OVER_PI = math.log(2.0) / math.pi
 
@@ -85,6 +87,37 @@ class TestCwKernel:
         quadrature = _kernel_integral(0.0, w, T, 1e-12 * (T - 0.25) ** (w + 0.5))
         assert c_w_kernel(CwKernel(T=T, w=w)) == pytest.approx(
             quadrature / math.pi, rel=1e-13)
+
+    @pytest.mark.parametrize("T", [0.3, 2.0, 10.0, 50.0, 1e3, 1e5])
+    @pytest.mark.parametrize("w", [0.0, 0.5, 1.0, 2.5])
+    def test_against_mpmath(self, T, w):
+        for beta in (0.01, 0.3, 0.5, 0.97):
+            oracle = mp_cw_kernel(T, w, beta)
+            assert abs(c_w_kernel(CwKernel(T=T, w=w, beta=beta)) - oracle) \
+                <= 1e-12 * (1.0 + abs(oracle))
+
+    def test_two_or_three_integrand_calls(self, monkeypatch):
+        # the folded integrand is one tanh-sinh integral that stops by level
+        # 4: the first level and the look-ahead, one call each, up to T = 1e5
+        calls = []
+        engine = degeneration.integrate_finite
+
+        def spy(f, *args, **kwargs):
+            calls.append(0)
+
+            def counted(theta):
+                calls[-1] += 1
+                return f(theta)
+
+            return engine(counted, *args, **kwargs)
+
+        monkeypatch.setattr(degeneration, "integrate_finite", spy)
+        for T in (0.3, 2.0, 10.0, 50.0, 1e3, 1e4, 1e5):
+            for w in (0.0, 0.5, 1.0, 2.5):
+                for beta in (0.001, 0.01, 0.3, 0.5, 0.97, 0.999):
+                    c_w_kernel(CwKernel(T=T, w=w, beta=beta))
+        assert len(calls) == 7 * 4 * 6
+        assert max(calls) <= 3
 
     def test_monotone_in_T(self):
         vals = [c_w_kernel(CwKernel(T=T, w=0.5, beta=0.2))

@@ -13,16 +13,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from degenspec import special_fn
-from degenspec.degeneration import g_degenerating_counting
+from degenspec.counting import ScatteringModel, counting_noncompact
+from degenspec.degeneration import (CwKernel, c_w_kernel,
+                                    g_degenerating_counting)
 from degenspec.errors import (DomainError, NonFiniteIntegrandError,
                               QuadratureError)
 from degenspec.geometry import SurfaceData
 from degenspec.hplane import heat_kernel_h
 from degenspec.selberg import selberg_logderiv_integral
 from degenspec.special_fn import (_DE_ROWS, KBesselArgs, QuadratureResult,
-                                  _de_level, digamma, integrate_finite,
-                                  integrate_semi_infinite, k_bessel, log_gamma,
-                                  reciprocal_gamma)
+                                  _de_level, _de_nodes, _ts_level, digamma,
+                                  integrate_finite, integrate_semi_infinite,
+                                  k_bessel, log_gamma, reciprocal_gamma)
 from degenspec.traces import elliptic_trace_r, elliptic_trace_u
 from degenspec.zeta_det import degeneration_subtraction_zeta, surface_zeta
 
@@ -449,6 +451,104 @@ class TestIntegrateFinite:
         assert abs(res.value - oracle) <= 5e-6
 
 
+def integrate_tanh_sinh(f, a, b, tol):
+    return integrate_finite(f, a, b, tol, rule="tanh-sinh")
+
+
+class TestIntegrateTanhSinh:
+    @pytest.mark.parametrize("power", [-0.4, -0.5])
+    def test_endpoint_power_singularity(self, power):
+        # Gauss-Kronrod collapses on u^{-0.4} at tol 1e-12 and reaches only
+        # 5e-7 on u^{-1/2} (TestIntegrateFinite); the nodes' distances to
+        # the end 0 come from a table, so none rounds onto the pole
+        calls = []
+
+        def f(u):
+            calls.append(u.size)
+            return u ** power
+
+        res = integrate_tanh_sinh(f, 0.0, 1.0, 1e-12)
+        assert abs(res.value - 1.0 / (1.0 + power)) <= 1e-12
+        assert res.error_estimate <= 1e-12
+        assert len(calls) == 2
+
+    def test_smallest_node_keeps_its_precision(self):
+        # c + d tanh s would round every node within eps of the end to 0
+        seen = []
+
+        def f(x):
+            seen.append(x.min())
+            return np.exp(x)
+
+        res = integrate_tanh_sinh(f, 0.0, 2.0, 1e-12)
+        assert abs(res.value - math.expm1(2.0)) <= 1e-14
+        assert 0.0 < min(seen) < 1e-270
+
+    @pytest.mark.parametrize("f, a, b, value", [
+        (lambda x: np.exp(-x * x), -2.0, 3.0,
+         0.5 * math.sqrt(math.pi) * (math.erf(2.0) + math.erf(3.0))),
+        (lambda x: np.sqrt(1.0 - x * x), -1.0, 1.0, 0.5 * math.pi),
+        (lambda x: 1.0 / (1.0 + 100.0 * x * x), 0.0, 1.0,
+         math.atan(10.0) / 10.0),
+        (lambda x: np.exp(1j * x), 0.0, math.pi, 2j),
+    ])
+    def test_analytic_integrands(self, f, a, b, value):
+        res = integrate_tanh_sinh(f, a, b, 1e-12)
+        assert abs(res.value - value) <= 1e-13
+        assert res.error_estimate <= 1e-12
+
+    def test_empty_interval(self):
+        assert integrate_tanh_sinh(np.exp, 1.5, 1.5, 1e-12).value == 0.0
+
+    @pytest.mark.parametrize("f, value, tol", [
+        # a kink: the levels converge only like h^2, and miss 1e-12 by
+        # h = 2^-16 (at tol 1e-10 they meet it, after 13 calls)
+        (lambda x: np.exp(-np.abs(x - 0.3)),
+         2.0 - math.exp(-0.3) - math.exp(-0.7), 1e-12),
+        # a jump: like h
+        (lambda x: np.where(x < 0.3, 1.0, 0.0), 0.3, 1e-8),
+    ], ids=["kink", "jump"])
+    def test_kink_or_jump_raises_with_its_last_level(self, f, value, tol):
+        with pytest.raises(QuadratureError) as err:
+            integrate_tanh_sinh(f, 0.0, 1.0, tol)
+        exc = err.value
+        assert exc.error_estimate > tol
+        assert abs(exc.value - value) <= exc.error_estimate
+        assert exc.evaluations > 100_000
+        # Gauss-Kronrod bisects to the kink or the jump
+        assert abs(integrate_finite(f, 0.0, 1.0, 1e-12).value - value) \
+            <= 1e-12
+
+    def test_nan_rejected(self):
+        with pytest.raises(NonFiniteIntegrandError):
+            integrate_tanh_sinh(lambda x: np.full_like(x, np.nan), 0.0, 1.0,
+                                1e-10)
+
+    def test_bad_arguments(self):
+        with pytest.raises(DomainError):
+            integrate_tanh_sinh(np.exp, 1.0, 0.0, 1e-10)
+        with pytest.raises(DomainError):
+            integrate_tanh_sinh(np.exp, 0.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            integrate_finite(np.exp, 0.0, 1.0, rule="exp-sinh")
+
+
+def test_tanh_sinh_tables_are_read_only():
+    for level in (0, 1, 4, 5):
+        for table in _ts_level(level):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+    # so are the look-ahead windows, cached once per window, of both maps
+    for table in (_ts_level, _de_level):
+        ahead = _de_nodes(table, 1, 4, 3, 12)
+        assert _de_nodes(table, 1, 4, 3, 12) is ahead
+        for array in (*ahead, *_de_nodes(table, 5, 5, 3, 12)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
 class TestDeterminism:
     def test_bit_identical_repeats(self):
         def f(t):
@@ -588,8 +688,9 @@ class TestKBessel:
 
 def test_package_integrands_never_reach_the_adaptive_rule(
         compact_surface, hecke_like_family, monkeypatch):
-    # every half-line integrand the package writes itself is analytic and
-    # goes to exp-sinh; only a caller's h(t) needs Gauss-Kronrod
+    # every integrand the package writes itself is analytic and goes to
+    # exp-sinh or, on the theta-intervals, tanh-sinh; only a caller's h(t)
+    # needs Gauss-Kronrod
     def adaptive(*args, **kwargs):
         raise AssertionError("Gauss-Kronrod called")
 
@@ -600,3 +701,6 @@ def test_package_integrands_never_reach_the_adaptive_rule(
                                   mode="hurwitz", z=1.0)
     selberg_logderiv_integral(compact_surface.length_spectrum, 0.9 + 0.2j)
     elliptic_trace_r((2, 3, 7), 0.5)
+    c_w_kernel(CwKernel(T=50.0, w=1.0, beta=0.3))
+    counting_noncompact([0.0, 0.3], 1, ScatteringModel(
+        phi_log_deriv=lambda r: -2.0 - 1.0 / (1.0 + r * r)), 0.5, 10.0)

@@ -22,7 +22,8 @@ from degenspec import traces
 from degenspec.special_fn import as_array_fn, integrate_semi_infinite
 from degenspec.traces import (TestFunctionPair, TraceSeries, _cone_series,
                               degenerating_trace,
-                              elliptic_trace_r, elliptic_trace_u, fermi_weight,
+                              elliptic_trace_r, elliptic_trace_u, fermi_fold,
+                              fermi_weight,
                               geometric_side, hyperbolic_sum_reduced,
                               hyperbolic_trace, identity_trace,
                               noncompact_spectral_terms, spectral_side_compact,
@@ -548,6 +549,12 @@ class TestFermiWeight:
     def test_overflow_free(self):
         vals = fermi_weight(0.9, np.array([-500.0, 500.0]))
         assert np.all(np.isfinite(vals))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.001, 0.3, 0.5, 0.97, 0.999])
+    def test_fold_is_the_sum_at_plus_and_minus_r(self, beta):
+        r = np.concatenate([[0.0], np.geomspace(1e-8, 600.0, 200)])
+        total = fermi_weight(beta, r) + fermi_weight(beta, -r)
+        assert np.all(np.abs(fermi_fold(beta, r) - total) <= 3e-16 * total)
 
 
 class TestBatchedTimes:

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -353,7 +354,10 @@ _T_HELP = ("counting bound T; G is resolved up to T ~ 3e6, and the command "
            "exits 3 above that")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and building it costs more than a short command's numerics."""
     parser = argparse.ArgumentParser(
         prog="degenspec",
         description="spectral invariants of degenerating hyperbolic surfaces")

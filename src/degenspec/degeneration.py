@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -131,6 +132,69 @@ def c_w_kernel(kernel: CwKernel, tol: float = 1e-12) -> float:
     return _kernel_integral(kernel.beta, kernel.w, kernel.T, tol) / math.pi
 
 
+@cache
+def _spherical_series(w: int) -> tuple:
+    """Switch point z_s = max(w, 1) and the Horner coefficients, highest
+    first, of g_w(z) = sum_k (-z^2/2)^k/(k! (2w+2k+1)!!) in z^2, up to the
+    first term below 2^-56 of the first at z_s."""
+    switch = float(max(w, 1))
+    coeffs = [1.0 / math.prod(range(1, 2 * w + 2, 2))]
+    while abs(coeffs[-1]) * switch ** (2 * len(coeffs) - 2) \
+            > 2.0 ** -56 * coeffs[0]:
+        k = len(coeffs)
+        coeffs.append(-coeffs[-1] / (2.0 * k * (2 * w + 2 * k + 1)))
+    return switch, tuple(reversed(coeffs))
+
+
+def _spherical_g(w: int, z: np.ndarray) -> np.ndarray:
+    """g_w(z) = j_w(z)/z^w for integer w >= 0 and z > 0, j_w the spherical
+    Bessel function, entire and even in z: sin(z)/z at w = 0, free of
+    cancellation; else the power series below z_s (_spherical_series) and
+    above it the upward recurrence g_{n+1} = ((2n+1) g_n - g_{n-1})/z^2
+    from g_{-1} = cos z, g_0 = sin(z)/z (DLMF 10.49.3, 10.51.1, 10.53.1),
+    which is stable for z >~ n."""
+    if w == 0:
+        return np.sin(z) / z
+    switch, coeffs = _spherical_series(w)
+    out = np.empty_like(z)
+    near = z < switch
+    x = z[near] ** 2
+    series = coeffs[0] * x + coeffs[1]
+    for c in coeffs[2:]:
+        series *= x
+        series += c
+    out[near] = series
+    far = z[~near]
+    x = far ** 2
+    before, g = np.cos(far), np.sin(far) / far
+    for n in range(w):
+        before, g = g, ((2 * n + 1) * g - before) / x
+    out[~near] = g
+    return out
+
+
+def _counting_hhat(w: float, R: float) -> Callable:
+    """hhat(u) of g_degenerating_counting for R = sqrt(T - 1/4), vectorized:
+    w! 2^w R^{2w+1}/pi g_w(R u) (_spherical_g) for integer w, scipy's jv
+    for other w."""
+    if float(w).is_integer():
+        w = int(w)
+        scale = math.factorial(w) * 2.0 ** w * R ** (2 * w + 1) / math.pi
+        return lambda u: scale * _spherical_g(w, R * u)
+    nu = w + 0.5
+    scale = math.gamma(w + 1.0) / (2.0 * math.sqrt(math.pi))
+
+    def hhat(u: np.ndarray) -> np.ndarray:
+        # (2R/u)^nu J_nu(Ru) = R^{2 nu} (2/z)^nu J_nu(z), z = Ru; below
+        # z = 1e-8 the last factor is its limit 1/Gamma(nu+1) to 1.7e-17
+        # relative, and clamping z keeps (2/z)^nu finite at the tiny u the
+        # exp-sinh rule samples
+        z = np.maximum(R * u, 1e-8)
+        return scale * R ** (2.0 * nu) * (2.0 / z) ** nu * jv(nu, z)
+
+    return hhat
+
+
 def g_degenerating_counting(surface: SurfaceData, w: float, T: float,
                             tol: float = 1e-10) -> float:
     """Degenerating counting function: the kernel double sum
@@ -144,26 +208,20 @@ def g_degenerating_counting(surface: SurfaceData, w: float, T: float,
         hhat(u) = Gamma(w+1)/(2 sqrt(pi)) (2R/u)^{w+1/2} J_{w+1/2}(R u)
 
     (DLMF 10.9.4), which falls off like u^{-w-1}; the cone series sets the
-    decay e^{-u/2}.  One quadrature for all the orders, at any q; its
-    period 2 pi/R is resolved up to T = 3e6, and beyond it the quadrature
-    may raise QuadratureError.
+    decay e^{-u/2}.  For integer w the Bessel factor is elementary: with
+    z = R u and the spherical Bessel function j_w (DLMF 10.47.3, 10.49.3),
+    hhat(u) = w! 2^w R^{2w+1}/pi j_w(z)/z^w, which is sin(R u)/(pi u) at
+    w = 0, evaluated by its power series near z = 0 (DLMF 10.53.1) and by
+    trigonometric functions and the upward recurrence beyond; non-integer
+    w uses scipy's J_nu (_counting_hhat).  One quadrature for all the
+    orders, at any q; its period 2 pi/R is resolved up to T = 3e6, and
+    beyond it the quadrature may raise QuadratureError.
     """
     if w < 0:
         raise DomainError(f"weight must be >= 0, got {w}")
     if T <= 0.25:
         return 0.0
-    R = math.sqrt(T - 0.25)
-    nu = w + 0.5
-    scale = math.gamma(w + 1.0) / (2.0 * math.sqrt(math.pi))
-
-    def hhat(u: np.ndarray) -> np.ndarray:
-        # (2R/u)^nu J_nu(Ru) = R^{2 nu} (2/z)^nu J_nu(z), z = Ru; below
-        # z = 1e-8 the last factor is its limit 1/Gamma(nu+1) to 1.7e-17
-        # relative, and clamping z keeps (2/z)^nu finite at the tiny u the
-        # exp-sinh rule samples
-        z = np.maximum(R * u, 1e-8)
-        return scale * R ** (2.0 * nu) * (2.0 / z) ** nu * jv(nu, z)
-
+    hhat = _counting_hhat(w, math.sqrt(T - 0.25))
     return cone_integral(surface.degenerating_orders, hhat, 0.5, tol)
 
 

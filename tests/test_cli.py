@@ -240,3 +240,36 @@ def test_unreadable_path_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "missing.json"
     err = _parse_error(["det", "--surface", str(path)], capsys)
     assert f"cannot read {path}" in err
+
+
+def test_one_parser_serves_every_call_in_a_process(compact_surface, tmp_path,
+                                                  capsys):
+    # the parser is built once per process; a trace, a det and a bad argv
+    # in one process give the output of a fresh parser each
+    path = tmp_path / "surface.json"
+    save_surface(compact_surface, path)
+    runs = [["trace", "--surface", str(path), "--t", "log:0.01:10:4"],
+            ["det", "--surface", str(path)],
+            ["det", "--surface", str(path), "--tol", "tiny"]]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    together = [outcome(argv) for argv in runs]
+    assert cli._build_parser() is cli._build_parser()
+    separate = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        separate.append(outcome(argv))
+    assert together == separate
+    assert [code for code, _, _ in together] == [cli.EXIT_OK, cli.EXIT_OK,
+                                                 cli.EXIT_CONFIG]
+    assert together[2][1] == ""
+    assert together[2][2].startswith("usage: degenspec det ")
+    assert "argument --tol: invalid float value: 'tiny'" in together[2][2]

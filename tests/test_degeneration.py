@@ -11,12 +11,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv
 
 from degenspec.degeneration import (CwKernel, SlopeFit, _kernel_integral,
                                     c_w_kernel, elliptic_sum_s, error_term_experiment,
                                     fit_slope_vs_logQ, g_degenerating_counting,
                                     optimize_epsilon)
-from degenspec import degeneration
+from degenspec import degeneration, traces
 from degenspec.errors import DomainError, FitError
 from degenspec.geometry import DegeneratingFamily, SurfaceData, hecke_family
 from mp_reference import mp_cw_kernel
@@ -248,6 +249,90 @@ class TestCountingSum:
                         degenerating=(2,))
         assert g_degenerating_counting(s, 0.0, T, tol=1e-10) == pytest.approx(
             (q * q - 1) / (12.0 * q), abs=1e-10)
+
+    @pytest.mark.parametrize("w", [0, 1, 2, 3])
+    def test_elementary_hhat_against_mpmath(self, w):
+        # hhat(u) at R = 1, so z = u, on a log grid over [1e-12, 1e4] and a
+        # dense one around the series switch z_s = max(w, 1), against
+        # Gamma(w+1)/(2 sqrt(pi)) (2/z)^{w+1/2} J_{w+1/2}(z) at 40 digits.
+        # hhat(0) = w! 2^w/(pi (2w+1)!!) and, for large z, hhat has the
+        # amplitude w! 2^w/pi z^{-(w+1)} = hhat(0) (2w+1)!! z^{-(w+1)}: the
+        # bound is 4e-15 of the one, then of the other.  scipy's jv misses
+        # it at large z (2e-14 of the amplitude for w = 0 to 3)
+        switch = max(w, 1)
+        z = np.concatenate([np.geomspace(1e-12, 1e4, 161),
+                            np.linspace(0.9 * switch, 1.1 * switch, 41)])
+        hhat = degeneration._counting_hhat(w, 1.0)(z)
+        with mp.workdps(40):
+            nu = w + mp.mpf(1) / 2
+            scale = mp.gamma(w + 1) / (2 * mp.sqrt(mp.pi))
+            oracle = np.array([float(scale * (2 / mp.mpf(x)) ** nu
+                                     * mp.besselj(nu, mp.mpf(x)))
+                               for x in z])
+        double_factorial = math.prod(range(1, 2 * w + 2, 2))
+        at_zero = math.factorial(w) * 2 ** w / (math.pi * double_factorial)
+        assert hhat[0] == pytest.approx(at_zero, rel=1e-16)
+        amplitude = np.minimum(1.0, double_factorial * z ** -(w + 1.0))
+        assert np.all(np.abs(hhat - oracle) <= 4e-15 * at_zero * amplitude)
+        if w <= 1:
+            # below w = 2, also against the envelope z^{-(w+1)} itself
+            assert np.all(np.abs(hhat - oracle)
+                          <= 4e-15 * at_zero * np.minimum(1.0,
+                                                          z ** -(w + 1.0)))
+
+    @staticmethod
+    def _jv_route(orders, w, T, tol=1e-10):
+        # G as cone_integral of (2R/u)^nu J_nu(Ru) with scipy's jv, z
+        # clamped at 1e-8, the route non-integer w keeps
+        R = math.sqrt(T - 0.25)
+        nu = w + 0.5
+        scale = math.gamma(w + 1.0) / (2.0 * math.sqrt(math.pi))
+
+        def hhat(u):
+            z = np.maximum(R * u, 1e-8)
+            return scale * R ** (2.0 * nu) * (2.0 / z) ** nu * jv(nu, z)
+
+        return traces.cone_integral(orders, hhat, 0.5, tol)
+
+    # integrand calls per G with scipy's jv for integer w, at the ends of
+    # the benchmark's eight q bands, per (T, w)
+    JV_CALLS = {(0.3, 0): (2, 2, 2, 3, 3, 3, 3, 4),
+                (0.3, 1): (2, 2, 2, 2, 3, 3, 3, 3),
+                (2.0, 0): (3, 3, 3, 3, 3, 3, 3, 4),
+                (2.0, 1): (3, 3, 3, 3, 3, 3, 3, 4),
+                (10.0, 0): (4,) * 8, (10.0, 1): (4,) * 8,
+                (50.0, 0): (6,) * 8, (50.0, 1): (5,) * 8}
+    Q_BANDS = (10, 256, 257, 4000, 100000, 100001, 1050000, 10 ** 7)
+
+    def test_integer_w_matches_the_jv_route(self, monkeypatch):
+        calls = []
+        engine = degeneration.cone_integral
+
+        def spy(orders, hhat, decay, tol):
+            calls.append(0)
+
+            def counted(u):
+                calls[-1] += 1
+                return hhat(u)
+
+            return engine(orders, counted, decay, tol)
+
+        monkeypatch.setattr(degeneration, "cone_integral", spy)
+        for (T, w), jv_calls in self.JV_CALLS.items():
+            for q, most in zip(self.Q_BANDS, jv_calls):
+                s = SurfaceData(genus=0, num_cusps=1,
+                                elliptic_orders=(2, 3, q), degenerating=(2,))
+                value = g_degenerating_counting(s, w, T)
+                assert value == pytest.approx(self._jv_route((q,), w, T),
+                                              rel=4e-15, abs=0.0)
+                assert calls[-1] <= most
+        for q in self.Q_BANDS[::3]:
+            s = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 3, q),
+                            degenerating=(2,))
+            for T in (0.3, 2.0, 10.0, 50.0):
+                for w in (0.5, 2.5):
+                    assert g_degenerating_counting(s, w, T) == \
+                        self._jv_route((q,), w, T)
 
     def test_multiple_cones_additive(self):
         s2 = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 40, 60),

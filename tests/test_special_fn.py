@@ -320,7 +320,7 @@ LEVEL_BY_LEVEL = [
     ("counting-sum", lambda: g_degenerating_counting(
         SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 3, 64),
                     degenerating=(2,)), 1.0, 50.0),
-     271.60214466238097, 1.5086243365658447e-10, 1543, 5),
+     271.60214466238074, 1.5086243365658447e-10, 1543, 5),
     # rows stopping at levels 2, 3 and 4: the nodes of levels 3 and 4 that
     # the first two rows did not need count too (357 one level at a time)
     ("rows-2-3-4", _gamma_batch(1e-4),

@@ -3,10 +3,11 @@ points, and their behavior as cone orders degenerate to cusps.
 
 Submodules:
 
-- special_fn: log-gamma, digamma, the K-Bessel integral, quadrature engines
+- special_fn: log-gamma, 1/Gamma, the K-Bessel integral, the exp-sinh and
+  tanh-sinh quadrature rules
 - hplane: the heat kernel on the hyperbolic plane (real and complex time)
 - geometry: surface/cone data model, degenerating families, Hecke generator
-- traces: heat-trace components and trace-formula transforms
+- traces: heat-trace components
 - degeneration: S(q), c_w(T) kernels, degenerating counting asymptotics
 - counting: weighted spectral counting functions
 - zeta_det: spectral/Hurwitz zeta, heat coefficients, regularized determinant

@@ -10,8 +10,7 @@ discrete sum survives, independently of the scattering data.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,9 +23,6 @@ __all__ = [
     "ScatteringModel",
     "counting_compact",
     "counting_noncompact",
-    "counting_noncompact_hat",
-    "weight_lowering",
-    "weyl_ratio",
 ]
 
 
@@ -113,8 +109,7 @@ def _weighted_interval_integral(folded: Callable, w: float, T: float,
     def integrand(theta: np.ndarray):
         return R ** two_w * np.cos(theta) ** two_w * folded(R * np.sin(theta))
 
-    res = integrate_finite(integrand, 0.0, 0.5 * math.pi, tol,
-                           rule="tanh-sinh")
+    res = integrate_finite(integrand, 0.0, 0.5 * math.pi, tol)
     return float(np.real(res.value))
 
 
@@ -159,59 +154,3 @@ def counting_noncompact(eigenvalues, p: int, scattering: ScatteringModel,
                   * (T - 0.25) ** (w + 0.5))
     total -= 0.25 * (p - scattering.trace_phi_half) * (T - 0.25) ** w
     return total
-
-
-def counting_noncompact_hat(eigenvalues, scattering: ScatteringModel,
-                            w: float, T: float, tol: float = 1e-10) -> float:
-    """Two-term subset (discrete sum plus scattering integral); this is the
-    combination that is nondecreasing in T under the model's lower bound."""
-    if w < 0:
-        raise DomainError(f"weight must be >= 0, got {w}")
-    discrete = counting_compact(eigenvalues, w, T)
-    if T <= 0.25:
-        return discrete
-    return discrete - _weighted_interval_integral(
-        _fold(scattering.phi_log_deriv), w, T, tol) / (4.0 * math.pi)
-
-
-def weight_lowering(N_higher: Callable, w: float, T: float,
-                    h: float | None = None, *, richardson: bool = False,
-                    mismatch_tol: float = 0.05) -> float:
-    """Central-difference realization of
-    N_w(T) = (1/(w+1)) d/dT N_{w+1}(T).
-
-    Warns when the one-sided estimates disagree by more than mismatch_tol
-    relative, a sign the step h is too large.
-    """
-    if w < 0:
-        raise DomainError(f"weight must be >= 0, got {w}")
-    if h is None:
-        h = max(1e-4, 1e-3 * abs(T))
-    if not h > 0:
-        raise DomainError(f"step must be > 0, got {h}")
-
-    def central(step: float) -> float:
-        return (N_higher(T + step) - N_higher(T - step)) / (2.0 * step * (w + 1.0))
-
-    forward = (N_higher(T + h) - N_higher(T)) / (h * (w + 1.0))
-    backward = (N_higher(T) - N_higher(T - h)) / (h * (w + 1.0))
-    value = central(h)
-    scale = max(abs(value), 1.0)
-    if abs(forward - backward) > mismatch_tol * scale:
-        warnings.warn(
-            f"one-sided derivative estimates disagree by "
-            f"{abs(forward - backward):.3g} at T={T}; step h={h} may be too "
-            "large", RuntimeWarning, stacklevel=2)
-    if richardson:
-        value = (4.0 * central(h / 2.0) - value) / 3.0
-    return value
-
-
-def weyl_ratio(eigenvalues, vol: float, lam: float) -> float:
-    """N(lambda) * 4 pi / (vol * lambda): tends to 1 under Weyl growth."""
-    if not lam > 0:
-        raise DomainError(f"lambda must be > 0, got {lam}")
-    if not vol > 0:
-        raise DomainError(f"volume must be > 0, got {vol}")
-    count = sum(1 for x in eigenvalues if x <= lam)
-    return count * 4.0 * math.pi / (vol * lam)

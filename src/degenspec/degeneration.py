@@ -38,7 +38,6 @@ __all__ = [
     "c_w_kernel",
     "g_degenerating_counting",
     "fit_slope_vs_logQ",
-    "optimize_epsilon",
     "error_term_experiment",
 ]
 
@@ -108,8 +107,7 @@ def _kernel_integral(beta: float, w: float, T: float, tol: float) -> float:
         return R ** power * np.cos(theta) ** power \
             * fermi_fold(beta, R * np.sin(theta))
 
-    res = integrate_finite(integrand, 0.0, 0.5 * math.pi, tol,
-                           rule="tanh-sinh")
+    res = integrate_finite(integrand, 0.0, 0.5 * math.pi, tol)
     return float(np.real(res.value))
 
 
@@ -173,26 +171,38 @@ def _spherical_g(w: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scaled_bessel_j(nu: float, z: np.ndarray) -> np.ndarray:
+    """(2/z)^nu J_nu(z) for z >= 0, entire in z.  Below z = sqrt(nu + 1),
+    where (2/z)^nu can overflow while J_nu underflows, it is the power
+    series sum_k (-z^2/4)^k/(k! Gamma(nu+k+1)) (DLMF 10.2.2), whose terms
+    there fall off at least like 1/(4^k k!): 14 of them reach 2^-56.  Above,
+    scipy's jv."""
+    out = np.empty_like(z)
+    near = z < math.sqrt(nu + 1.0)
+    x = -0.25 * z[near] ** 2
+    term = np.full_like(x, 1.0 / math.gamma(nu + 1.0))
+    series = term.copy()
+    for k in range(1, 14):
+        term *= x / (k * (nu + k))
+        series += term
+    out[near] = series
+    far = z[~near]
+    out[~near] = (2.0 / far) ** nu * jv(nu, far)
+    return out
+
+
 def _counting_hhat(w: float, R: float) -> Callable:
     """hhat(u) of g_degenerating_counting for R = sqrt(T - 1/4), vectorized:
-    w! 2^w R^{2w+1}/pi g_w(R u) (_spherical_g) for integer w, scipy's jv
-    for other w."""
+    w! 2^w R^{2w+1}/pi g_w(R u) (_spherical_g) for integer w, and
+    Gamma(w+1)/(2 sqrt(pi)) R^{2 nu} (2/z)^nu J_nu(z), nu = w + 1/2, z = R u
+    (_scaled_bessel_j) for other w."""
     if float(w).is_integer():
         w = int(w)
         scale = math.factorial(w) * 2.0 ** w * R ** (2 * w + 1) / math.pi
         return lambda u: scale * _spherical_g(w, R * u)
     nu = w + 0.5
-    scale = math.gamma(w + 1.0) / (2.0 * math.sqrt(math.pi))
-
-    def hhat(u: np.ndarray) -> np.ndarray:
-        # (2R/u)^nu J_nu(Ru) = R^{2 nu} (2/z)^nu J_nu(z), z = Ru; below
-        # z = 1e-8 the last factor is its limit 1/Gamma(nu+1) to 1.7e-17
-        # relative, and clamping z keeps (2/z)^nu finite at the tiny u the
-        # exp-sinh rule samples
-        z = np.maximum(R * u, 1e-8)
-        return scale * R ** (2.0 * nu) * (2.0 / z) ** nu * jv(nu, z)
-
-    return hhat
+    scale = math.gamma(w + 1.0) / (2.0 * math.sqrt(math.pi)) * R ** (2.0 * nu)
+    return lambda u: scale * _scaled_bessel_j(nu, R * u)
 
 
 def g_degenerating_counting(surface: SurfaceData, w: float, T: float,
@@ -213,7 +223,8 @@ def g_degenerating_counting(surface: SurfaceData, w: float, T: float,
     hhat(u) = w! 2^w R^{2w+1}/pi j_w(z)/z^w, which is sin(R u)/(pi u) at
     w = 0, evaluated by its power series near z = 0 (DLMF 10.53.1) and by
     trigonometric functions and the upward recurrence beyond; non-integer
-    w uses scipy's J_nu (_counting_hhat).  One quadrature for all the
+    w uses (2/z)^nu J_nu(z) by its power series near z = 0 and scipy's
+    J_nu beyond (_counting_hhat).  One quadrature for all the
     orders, at any q; its period 2 pi/R is resolved up to T = 3e6, and
     beyond it the quadrature may raise QuadratureError.
     """
@@ -247,16 +258,6 @@ def fit_slope_vs_logQ(family: DegeneratingFamily, quantity: Callable,
                     ordinates=tuple(float(v) for v in y),
                     slope=float(slope), intercept=float(intercept),
                     residual=residual)
-
-
-def optimize_epsilon(f_decay: float, logQ: float) -> float:
-    """Window width eps = sqrt(f/log Q) balancing the eps*logQ and f/eps
-    error terms; the combined scale is O(sqrt(f * log Q))."""
-    if not f_decay > 0:
-        raise DomainError(f"decay term must be > 0, got {f_decay}")
-    if not logQ > 0:
-        raise DomainError(f"log Q must be > 0, got {logQ}")
-    return math.sqrt(f_decay / logQ)
 
 
 @dataclass(frozen=True)

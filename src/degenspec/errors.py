@@ -14,7 +14,7 @@ class SignatureError(DomainError):
 
 
 class QuadratureError(DegenspecError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """A quadrature rule failed to reach the requested tolerance.
 
     Carries the best value and error estimate reached before giving up.
     """
@@ -36,10 +36,6 @@ class InvariantViolation(DegenspecError, ValueError):
 
 class ParseError(DegenspecError, ValueError):
     """Input file could not be parsed; message carries field diagnostics."""
-
-
-class AdmissibilityError(DegenspecError, ValueError):
-    """Test function lacks the required decay certificate."""
 
 
 class AlphaCollisionError(DomainError):
@@ -80,17 +76,9 @@ class ExpansionMismatchError(DegenspecError, ValueError):
         self.t = t
 
 
-class DivergenceError(DomainError):
-    """Series evaluation requested outside its convergence region."""
-
-
 class InsufficientSubtractionsError(DomainError):
     """Continuation requested deeper than the subtracted expansion allows."""
 
 
 class StripViolationError(DomainError):
     """Shift parameter outside the strip certified for the continuation stage."""
-
-
-class ConvergenceError(DegenspecError, ArithmeticError):
-    """Series or iteration failed to converge within its budget."""

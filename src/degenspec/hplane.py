@@ -59,8 +59,7 @@ def _diagonal_kernel(z: complex, tol: float) -> complex:
     def integrand(x: np.ndarray):
         return np.exp(-(x * x) * (z / t)) * np.tanh(np.pi * x / rt) * x
 
-    res = integrate_semi_infinite(integrand, decay=1.0, tol=tol,
-                                  rule="exp-sinh")
+    res = integrate_semi_infinite(integrand, decay=1.0, tol=tol)
     return np.exp(-0.25 * z) * res.value / (2.0 * math.pi * t)
 
 
@@ -78,8 +77,7 @@ def _off_diagonal_kernel(z: complex, d: float, tol: float) -> complex:
 
     # v-scale: e^{-u^2/4t} dies once u - d ~ 13 sqrt(t); v ~ (13 sqrt t)^{1/2}
     rate = 1.0 / max(math.sqrt(13.0 * math.sqrt(t)), 1e-3)
-    res = integrate_semi_infinite(integrand, decay=rate, tol=tol,
-                                  rule="exp-sinh")
+    res = integrate_semi_infinite(integrand, decay=rate, tol=tol)
     prefac = math.sqrt(2.0) * np.exp(-z / 4.0) / (4.0 * math.pi * z) ** 1.5
     return prefac * res.value
 

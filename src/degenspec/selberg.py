@@ -37,10 +37,7 @@ __all__ = [
     "selberg_logderiv_integral",
     "selberg_logderiv_kbessel",
     "truncated_logderiv",
-    "selberg_z_prime_one",
 ]
-
-_CUTOFF = 1e-18
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,7 @@ def selberg_logderiv_integral(lengths, s, tol: float = 1e-12) -> LogDerivEvaluat
                 / np.sqrt(16.0 * math.pi * t))
 
     rate = 0.25 + q.real
-    res = integrate_semi_infinite(integrand, decay=max(rate, 1e-3), tol=tol,
-                                  rule="exp-sinh")
+    res = integrate_semi_infinite(integrand, decay=max(rate, 1e-3), tol=tol)
     return LogDerivEvaluation(s=s, value=complex((2.0 * s - 1.0) * res.value),
                               representation="integral",
                               domain_certificate=cert)
@@ -152,20 +148,3 @@ def truncated_logderiv(lengths, small_eigenvalues, alpha: float, s,
                 f"(s(s-1) = {-lam})")
         total -= (2.0 * s - 1.0) / denom
     return total
-
-
-def selberg_z_prime_one(lengths) -> float:
-    """Regularized Z'(1) of a finite model spectrum.
-
-    Each geodesic factor is regularized separately: its n = 0 factor, which
-    models the zero of the full zeta at s = 1, is replaced by the shifted
-    factor e^{-l} - e^{-s l} (vanishing linearly at s = 1) and the limit off
-    the zero is taken per factor, giving the product of
-    l e^{-l} prod_{n>=1}(1 - e^{-(1+n) l}) over geodesics.  Its n-products
-    together are the Euler product at s = 2.
-    """
-    pairs = _normalize_spectrum(lengths)
-    if not pairs:
-        raise DomainError("Z'(1) needs a nonempty spectrum")
-    shifted = math.prod((ell * math.exp(-ell)) ** mult for ell, mult in pairs)
-    return shifted * selberg_zeta_product(pairs, 2.0, tol=_CUTOFF).real

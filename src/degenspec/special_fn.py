@@ -1,17 +1,16 @@
-"""Special functions and the three quadrature rules used by every module.
+"""Special functions and the two quadrature rules used by every module.
 
-integrate_semi_infinite(..., rule="exp-sinh") and integrate_finite(...,
-rule="tanh-sinh") are the double-exponential rules (Takahasi-Mori 1974) for
-integrands known to be analytic on (0, inf) and on (a, b): the maps
-u = L exp((pi/2) sinh tau), L = 1/decay, and x = c + d tanh((pi/2) sinh tau),
-and the trapezoid rule in tau, with the step halved from 1/2 until two
-successive levels agree, or from level 4 on until the last difference,
-extrapolated, falls below the rounding of the sum.  Both maps go through
-one level loop (_de_rows): the first level is one array call of the
-integrand, the new nodes of levels 1-4 one more, and each later level one
-more; the nodes are tabulated once per level and map (_de_level,
-_ts_level), and the look-ahead windows once per window (_de_nodes).
-exp-sinh serves every half-line integrand the package writes itself, all
+integrate_semi_infinite and integrate_finite are the double-exponential
+rules (Takahasi-Mori 1974), exp-sinh and tanh-sinh, for integrands analytic
+on (0, inf) and on (a, b): the maps u = L exp((pi/2) sinh tau), L = 1/decay,
+and x = c + d tanh((pi/2) sinh tau), and the trapezoid rule in tau, with the
+step halved from 1/2 until two successive levels agree, or from level 4 on
+until the last difference, extrapolated, falls below the rounding of the
+sum.  Both maps go through one level loop (_de_rows): the first level is
+one array call of the integrand, the new nodes of levels 1-4 one more, and
+each later level one more; the nodes are tabulated once per level and map
+(_de_level, _ts_level), and the look-ahead windows once per window
+(_de_nodes).  exp-sinh serves every half-line integral of the package, all
 analytic in a strip: the cone, plane-kernel and identity integrals, the
 r-form of ETr, the Selberg heat-trace integral and the one Mellin integral
 of `zeta_det`, for opaque traces and surfaces alike.  An array of decay
@@ -23,26 +22,18 @@ terms; it takes each node's distance to its end of the interval from its
 table, so an integrable singularity at an end 0 converges like an
 analytic integrand.
 
-The adaptive engine, a 7-15 Gauss-Kronrod rule driven by worst-interval
-bisection, is the default of both entry points and serves the half-line
-integrands built from a caller's function h(t) (transform_H,
-transform_Hhat, geometric_side, noncompact_spectral_terms), which may jump
-or kink.  It stays for those: on 1_{t<1} e^{-t} exp-sinh raises at every
-tol from 1e-8 to 1e-12 (its levels stall 4e-6 apart), and on e^{-|t-1|} at
-tol 1e-10 (they stall 3e-10 apart), while the adaptive rule meets 1e-12 on
-both; tanh-sinh raises on e^{-|x-0.3|} over [0, 1] at tol 1e-12.
-Semi-infinite integrals are mapped onto [0, 1] with t = L*u/(1-u), where
-the scale L is chosen from the caller's exponential decay hint.  The rule
-never samples interval endpoints, but bisection gains little on an
-endpoint singularity: it reaches 5e-7 on t^{-1/2} and collapses on t^{-0.4}
-at tol 1e-12, which tanh-sinh meets.  The initial panel layout is one
-integrand call, and so is each bisection, on the nodes of both halves.
+The rules' limits: a jump or a kink inside the interval makes the levels
+converge only algebraically, and the rule raises QuadratureError with the
+last level's value by step h = 2^-16 (exp-sinh on 1_{t<1} e^{-t},
+tanh-sinh on e^{-|x-0.3|} over [0, 1]).  An integrable singularity at an
+end other than 0 is not resolved: nodes within rounding of that end land on
+it, and the rule raises NonFiniteIntegrandError there ((1 - x)^{-1/2} over
+[0, 1]).
 """
 
 from __future__ import annotations
 
 import cmath
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -57,7 +48,6 @@ __all__ = [
     "QuadratureResult",
     "KBesselArgs",
     "log_gamma",
-    "digamma",
     "reciprocal_gamma",
     "k_bessel",
     "integrate_finite",
@@ -65,47 +55,7 @@ __all__ = [
     "as_array_fn",
 ]
 
-# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1] (QUADPACK).
-_XGK_HALF = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-])
-_WGK_HALF = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG_HALF = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
-# Full symmetric node/weight tables; Gauss nodes sit at odd Kronrod indices.
-_NODES = np.concatenate([-_XGK_HALF[:7], _XGK_HALF[::-1]])
-_WK = np.concatenate([_WGK_HALF[:7], _WGK_HALF[::-1]])
-_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
-_WGAUSS = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
-# the Kronrod and the Gauss weights on the 15 nodes as the two columns of one
-# matrix, so y @ _WEIGHTS gives both sums of every panel
-_WEIGHTS = np.zeros((_NODES.size, 2))
-_WEIGHTS[:, 0] = _WK
-_WEIGHTS[_GAUSS_IDX, 1] = _WGAUSS
-
 _DEFAULT_TOL = 1e-10
-_DEFAULT_LIMIT = 4096
 _EPS = float(np.finfo(float).eps)
 
 # exp-sinh rule: the tau window keeps u = L e^{(pi/2) sinh tau} inside
@@ -186,158 +136,30 @@ def as_array_fn(f: Callable) -> Callable:
     return call
 
 
-def _fsum(values):
-    """math.fsum of real or complex values (real and imaginary parts apart)."""
-    values = list(values)
-    total = math.fsum(v.real for v in values)
-    if any(isinstance(v, complex) for v in values):
-        return complex(total, math.fsum(v.imag for v in values))
-    return total
+def integrate_finite(f: Callable, a: float, b: float,
+                     tol: float = _DEFAULT_TOL) -> QuadratureResult:
+    """Integrate f over [a, b] to absolute tolerance tol by the tanh-sinh
+    rule, two array calls of f for most integrals (see _tanh_sinh).
 
-
-def _panels(fvec, lo, hi) -> tuple:
-    """Kronrod values and |Kronrod - Gauss| error estimates of the panels
-    [lo_k, hi_k], lists, from one call of fvec on all their nodes and one
-    matrix product for both sums."""
-    half = 0.5 * (np.asarray(hi) - np.asarray(lo))
-    mid = 0.5 * (np.asarray(lo) + np.asarray(hi))
-    x = mid[:, None] + half[:, None] * _NODES
-    y = fvec(x.ravel()).reshape(x.shape)
-    finite = np.isfinite(np.real(y)) & np.isfinite(np.imag(y))
-    if not finite.all():
-        raise NonFiniteIntegrandError(
-            f"integrand returned a non-finite value near x={x[~finite][0]:.6g}")
-    sums = (y @ _WEIGHTS) * half[:, None]
-    return sums[:, 0].tolist(), np.abs(sums[:, 0] - sums[:, 1]).tolist()
-
-
-def _adaptive(fvec, a: float, b: float, tol: float, limit: int,
-              points=()) -> QuadratureResult:
-    if tol <= 0:
-        raise DomainError("tolerance must be > 0")
-    if b < a:
-        raise DomainError(f"invalid interval: a={a} > b={b}")
-    breaks = [a, *(p for p in sorted(points) if a < p < b), b]
-
-    segments = {}
-    heap = []
-    # the initial layout is one call of the integrand
-    for counter, (lo, hi, val, err) in enumerate(zip(
-            breaks[:-1], breaks[1:], *_panels(fvec, breaks[:-1], breaks[1:]))):
-        segments[counter] = (lo, hi, val, err)
-        heapq.heappush(heap, (-err, counter))
-    counter = len(segments)
-    evaluations = counter * _NODES.size
-
-    min_width = max(abs(a), abs(b), 1.0) * 1e-15
-
-    def exact_sum(index: int):
-        return _fsum(seg[index] for seg in segments.values())
-
-    # err_run is a running total of the live errors; it drifts by rounding,
-    # so it only triggers the exact test
-    err_run = exact_sum(3)
-    while True:
-        if err_run <= tol:
-            err_run = exact_sum(3)
-            if err_run <= tol:
-                return QuadratureResult(exact_sum(2), err_run, evaluations)
-        if len(segments) >= limit:
-            err_run = exact_sum(3)
-            raise QuadratureError(
-                f"quadrature did not converge: error {err_run:.3e} > tol "
-                f"{tol:.3e} after {len(segments)} intervals",
-                value=exact_sum(2), error_estimate=err_run,
-                evaluations=evaluations)
-        _, key = heapq.heappop(heap)
-        lo, hi, _, old_err = segments[key]
-        if hi - lo < min_width:
-            raise QuadratureError(
-                "quadrature interval collapsed below machine resolution",
-                value=exact_sum(2), error_estimate=exact_sum(3),
-                evaluations=evaluations)
-        del segments[key]
-        mid = 0.5 * (lo + hi)
-        # both halves in one call of the integrand
-        for sub_lo, sub_hi, val, err in zip(
-                (lo, mid), (mid, hi), *_panels(fvec, (lo, mid), (mid, hi))):
-            segments[counter] = (sub_lo, sub_hi, val, err)
-            heapq.heappush(heap, (-err, counter))
-            counter += 1
-            err_run += err
-        evaluations += 2 * _NODES.size
-        err_run -= old_err
-
-
-def integrate_finite(f: Callable, a: float, b: float, tol: float = _DEFAULT_TOL,
-                     *, limit: int = _DEFAULT_LIMIT,
-                     rule: str = "gauss-kronrod") -> QuadratureResult:
-    """Integrate f over [a, b] to absolute tolerance tol.
-
-    rule="gauss-kronrod" (any f, the rule for functions that may jump or
-    kink): adaptive bisection, at most `limit` intervals.  It never samples
-    the endpoints, but bisection gains only a factor 2^{1/2} a level on
-    t^{-1/2} and collapses below machine resolution on t^{-0.4} at tol
-    1e-12: integrands with an endpoint singularity take rule="tanh-sinh".
-
-    rule="tanh-sinh" (f analytic on (a, b), array-native, finite at every
-    node): the double-exponential rule, two array calls of f for most
-    integrals (see _tanh_sinh); integrable algebraic singularities at an
-    endpoint 0 are admissible, `limit` does not apply.
+    f must be analytic on (a, b), array-native and finite at every node;
+    an integrable algebraic singularity at an end 0 is admissible.
     """
-    a, b = float(a), float(b)
-    if rule == "tanh-sinh":
-        return _tanh_sinh(f, a, b, tol)
-    if rule != "gauss-kronrod":
-        raise DomainError(f"unknown quadrature rule {rule!r}")
-    return _adaptive(as_array_fn(f), a, b, tol, limit)
+    return _tanh_sinh(f, float(a), float(b), tol)
 
 
 def integrate_semi_infinite(f: Callable, decay: float | np.ndarray = 1.0,
-                            tol: float = _DEFAULT_TOL, *,
-                            limit: int = _DEFAULT_LIMIT,
-                            rule: str = "gauss-kronrod") -> QuadratureResult:
-    """Integrate f over (0, inf) to absolute tolerance tol.
+                            tol: float = _DEFAULT_TOL) -> QuadratureResult:
+    """Integrate f over (0, inf) to absolute tolerance tol by the exp-sinh
+    rule, two array calls of f for most integrals (see _exp_sinh).
 
-    `decay` is an exponential-rate hint: f should eventually fall off at
-    least like exp(-decay*t).  It fixes the scale L = 1/decay of the map.
-
-    rule="gauss-kronrod" (any f, the rule for integrands built from a
-    caller's function, which may jump or kink): the map t = L*u/(1-u) onto
-    [0, 1] and adaptive bisection from a fixed initial panel layout, at most
-    `limit` intervals; slower (polynomial) decay still converges through
-    subdivision toward u = 1 as long as the integral exists.  It meets tol
-    1e-12 on 1_{t<1} e^{-t} and on e^{-|t-1|}, where exp-sinh raises.
-
-    rule="exp-sinh" (f analytic on (0, inf), array-native, finite at every
-    node; every integrand the package writes itself): the double-exponential
-    rule, two array calls of f for most integrals (see _exp_sinh);
-    integrable algebraic singularities at 0 are admissible, `limit` does not
-    apply.  decay may be a 1-D array: one integral per entry, f called as
-    f(u, rows) with u of shape (rows, n), and the value the array of the
-    integrals (see _exp_sinh).
+    f must be analytic on (0, inf), array-native and finite at every node;
+    an integrable algebraic singularity at 0 is admissible.  `decay` is an
+    exponential-rate hint: f should eventually fall off at least like
+    exp(-decay*t).  It fixes the scale L = 1/decay of the map.  decay may be
+    a 1-D array: one integral per entry, f called as f(u, rows) with u of
+    shape (rows, n), and the value the array of the integrals.
     """
-    if rule == "exp-sinh":
-        return _exp_sinh(f, decay, tol)
-    if rule != "gauss-kronrod":
-        raise DomainError(f"unknown quadrature rule {rule!r}")
-    if decay <= 0:
-        raise DomainError("decay hint must be > 0")
-    L = 1.0 / float(decay)
-    fvec = as_array_fn(f)
-
-    def g(u: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", under="ignore", invalid="ignore",
-                         divide="ignore"):
-            # cap the map at t = 1e12 L: deep bisection toward u = 1 would
-            # otherwise round u to 1 and turn decayed integrands into inf/NaN
-            uc = np.minimum(u, 1.0 - 1e-12)
-            om = 1.0 - uc
-            t = L * uc / om
-            return fvec(t) * (L / om**2)
-
-    breaks = [c / (1.0 + c) for c in (0.1, 1.0, 10.0, 100.0)]
-    return _adaptive(g, 0.0, 1.0, tol, limit, points=breaks)
+    return _exp_sinh(f, decay, tol)
 
 
 def _exp_sinh(f: Callable, decay, tol: float) -> QuadratureResult:
@@ -627,17 +449,6 @@ def log_gamma(s):
     if isinstance(s, complex) or np.iscomplexobj(s):
         return complex(out)
     return float(out.real)
-
-
-def digamma(s):
-    """psi(s) = Gamma'(s)/Gamma(s) on the right half plane Re(s) > 0."""
-    z = complex(s)
-    if z.real <= 0:
-        raise DomainError(f"digamma requires Re(s) > 0, got {s}")
-    out = _sp.digamma(z)
-    if isinstance(s, complex) or np.iscomplexobj(s):
-        return complex(out)
-    return float(np.real(out))
 
 
 def reciprocal_gamma(s):

@@ -1,4 +1,4 @@
-"""Heat-trace components and trace-formula transforms.
+"""Heat-trace components.
 
 The regularized (standard) heat trace of a surface splits as
 
@@ -12,16 +12,11 @@ the cones being opened into cusps.  HTr, ETr, the identity term and Str take
 a scalar t, giving a float, or an array of t, giving one value per entry;
 HTr, ETr and the identity term are one batched call each.
 
-Every hyperbolic term, of the heat trace, of the geometric side and of the
-Selberg routes, is geodesic_sum: the (geodesic, n) sum of
-mult l/(2 sinh(n l/2)) weight(n l), with weight vectorized over n l.  It
-keeps the terms with n l/2 <= 42 + log max(l, 1), which leaves each
-length's dropped tail below ~1e-18 sup|weight| per unit multiplicity.
-
-transform_H / transform_Hhat are the Laplace-type and Gaussian transforms
-pairing a decay-certified test function h with the two sides of the trace
-formula; geometric_side / spectral_side_compact / noncompact_spectral_terms
-assemble those sides on model data.
+Every hyperbolic term, of the heat trace and of the Selberg routes, is
+geodesic_sum: the (geodesic, n) sum of mult l/(2 sinh(n l/2)) weight(n l),
+with weight vectorized over n l.  It keeps the terms with
+n l/2 <= 42 + log max(l, 1), which leaves each length's dropped tail below
+~1e-18 sup|weight| per unit multiplicity.
 """
 
 from __future__ import annotations
@@ -34,16 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from .counting import ScatteringModel
-from .errors import (AdmissibilityError, AlphaCollisionError, DomainError,
-                     InvariantViolation)
+from .errors import AlphaCollisionError, DomainError, InvariantViolation
 from .geometry import SurfaceData
 from .hplane import heat_kernel_h
-from .special_fn import as_array_fn, digamma, integrate_semi_infinite
+from .special_fn import integrate_semi_infinite
 
 __all__ = [
     "TraceSeries",
-    "TestFunctionPair",
     "fermi_weight",
     "fermi_fold",
     "identity_trace",
@@ -56,11 +48,6 @@ __all__ = [
     "standard_trace",
     "removed_modes",
     "truncated_trace",
-    "transform_H",
-    "transform_Hhat",
-    "geometric_side",
-    "spectral_side_compact",
-    "noncompact_spectral_terms",
     "surface_trace_provider",
 ]
 
@@ -161,7 +148,7 @@ def identity_trace(vol: float, t, tol: float = 1e-12):
         return np.exp(r * r * minus_t[rows]) / np.cosh(math.pi * r) ** 2
 
     res = integrate_semi_infinite(integrand, decay=np.maximum(flat, 1.0),
-                                  tol=tol, rule="exp-sinh")
+                                  tol=tol)
     return _shaped(vol * np.exp(-flat / 4.0) / (4.0 * flat) * res.value, t)
 
 
@@ -352,11 +339,11 @@ def cone_integral(orders, hhat: Callable, decay, tol: float):
 
     F is analytic on (0, inf), with its nearest poles at u = +-2 pi i/q, so
     an analytic hhat makes the integral one exp-sinh quadrature
-    (integrate_semi_infinite with rule="exp-sinh"): a few array calls of
-    hhat F, whose cost does not grow with the orders and grows only slowly
-    with q as the poles close in on u = 0 (for t from 1e-4 to 100 the
-    Gaussian of ETr takes 169-391 nodes in two or three calls for
-    q <= 1000, and 712-838 nodes in four calls at q = 1e7).
+    (integrate_semi_infinite): a few array calls of hhat F, whose cost does
+    not grow with the orders and grows only slowly with q as the poles
+    close in on u = 0 (for t from 1e-4 to 100 the Gaussian of ETr takes
+    169-391 nodes in two or three calls for q <= 1000, and 712-838 nodes in
+    four calls at q = 1e7).
 
     A 1-D array of decay rates makes one batched call, one integral per
     entry: hhat is then called as hhat(u, rows) with u of shape (rows, n)
@@ -371,7 +358,7 @@ def cone_integral(orders, hhat: Callable, decay, tol: float):
         raise DomainError(f"cone order must be >= 2, got {min(orders)}")
     series = _cone_series(orders)
     res = integrate_semi_infinite(lambda u, *rows: hhat(u, *rows) * series(u),
-                                  decay=decay, tol=2.0 * tol, rule="exp-sinh")
+                                  decay=decay, tol=2.0 * tol)
     value = 0.5 * np.real(res.value)
     return value if batch else float(value)
 
@@ -415,8 +402,7 @@ def elliptic_trace_r(orders, t: float, tol: float = 1e-12) -> float:
             def integrand(r: np.ndarray, b=beta):
                 return np.exp(-t * r * r) * fermi_fold(b, r)
 
-            res = integrate_semi_infinite(integrand, decay=rate, tol=tol,
-                                          rule="exp-sinh")
+            res = integrate_semi_infinite(integrand, decay=rate, tol=tol)
             total += float(np.real(res.value)) / (2.0 * q * math.sin(n * math.pi / q))
     return math.exp(-t / 4.0) * total
 
@@ -485,184 +471,3 @@ def surface_trace_provider(surface: SurfaceData, tol: float = 1e-12) -> Callable
 
     trace.cache_info = cached.cache_info
     return trace
-
-
-def transform_H(h: Callable, r, tol: float = 1e-11) -> float | complex:
-    """Laplace-type transform H(r) = int_0^inf h(t) e^{-r^2 t} dt.
-
-    Accepts complex r; for r in [0, i/2] the weight grows like e^{t/4},
-    which the admissibility class of h absorbs.
-    """
-    r2 = complex(r) ** 2
-
-    def integrand(t: np.ndarray):
-        # clip the weight exponent: for growing weights (imaginary r) h has
-        # already underflowed wherever the clip engages, so the product is 0
-        expo = np.clip(-r2.real * t, -745.0, 700.0) - 1j * r2.imag * t
-        return h(t) * np.exp(expo)
-
-    decay = max(0.26 + r2.real, 0.02)
-    val = integrate_semi_infinite(integrand, decay=decay, tol=tol).value
-    if abs(np.imag(val)) < 1e-14 * max(1.0, abs(np.real(val))):
-        return float(np.real(val))
-    return complex(val)
-
-
-def transform_Hhat(h: Callable, u: float, tol: float = 1e-11) -> float:
-    """Gaussian transform Hhat(u) = int_0^inf h(t) e^{-u^2/4t} / sqrt(4 pi t) dt.
-
-    Substituting t = x^2 removes the 1/sqrt(t) endpoint factor:
-    Hhat(u) = (1/sqrt(pi)) int_0^inf h(x^2) e^{-u^2/4x^2} dx.
-    """
-
-    def integrand(x: np.ndarray):
-        xx = np.maximum(x * x, 1e-300)
-        out = h(xx)
-        if u != 0.0:
-            out = out * np.exp(-u * u / (4.0 * xx))
-        return out
-
-    res = integrate_semi_infinite(integrand, decay=0.5, tol=tol)
-    return float(np.real(res.value)) / math.sqrt(math.pi)
-
-
-_EPS_LADDER = (0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
-
-
-def _certify_decay(h: Callable) -> float:
-    """Largest eps in the ladder with |h(t)| e^{(1/4+eps)t} decreasing on the
-    tail of a log grid; AdmissibilityError when none qualifies."""
-    t = np.geomspace(0.1, 60.0, 40)
-    tail = t >= 5.0
-    habs = np.abs(h(t))
-    for eps in _EPS_LADDER:
-        g = habs * np.exp((0.25 + eps) * t)
-        gt = g[tail]
-        if np.all(np.diff(gt) <= 1e-12 * np.maximum(gt[:-1], 1e-300)):
-            return eps
-    raise AdmissibilityError(
-        "h lacks the decay |h(t)| <= M e^{-(1/4+eps)t} required of trace-"
-        "formula test functions")
-
-
-@dataclass(frozen=True)
-class TestFunctionPair:
-    """A test function h with its transforms H and Hhat.
-
-    provenance is "analytic" when closed forms were supplied (verified
-    against the numeric transforms on a sample grid) and "numeric" when the
-    transforms are quadratures of h.  epsilon records the certified decay
-    margin of h.
-    """
-
-    __test__ = False  # a library class, not a pytest test class
-
-    h: Callable | None
-    H: Callable
-    Hhat: Callable
-    provenance: str
-    epsilon: float
-
-    @classmethod
-    def from_h(cls, h: Callable) -> "TestFunctionPair":
-        hv = as_array_fn(h)
-        eps = _certify_decay(hv)
-        return cls(h=hv,
-                   H=lambda r: transform_H(hv, r),
-                   Hhat=lambda u: transform_Hhat(hv, u),
-                   provenance="numeric", epsilon=eps)
-
-    @classmethod
-    def analytic(cls, h: Callable, H: Callable, Hhat: Callable,
-                 check_tol: float = 1e-7) -> "TestFunctionPair":
-        hv = as_array_fn(h)
-        eps = _certify_decay(hv)
-        for r in (0.5, 1.5):
-            if abs(transform_H(hv, r) - H(r)) > check_tol * (1 + abs(H(r))):
-                raise AdmissibilityError(
-                    f"analytic H disagrees with the transform of h at r={r}")
-        for u in (0.5, 2.0):
-            if abs(transform_Hhat(hv, u) - Hhat(u)) > check_tol * (1 + abs(Hhat(u))):
-                raise AdmissibilityError(
-                    f"analytic Hhat disagrees with the transform of h at u={u}")
-        return cls(h=hv, H=H, Hhat=Hhat, provenance="analytic", epsilon=eps)
-
-    @classmethod
-    def point_mass(cls, t0: float) -> "TestFunctionPair":
-        """Degenerate point mass at t0: handled purely through the closed
-        forms H(r) = e^{-r^2 t0}, Hhat(u) = (4 pi t0)^{-1/2} e^{-u^2/4 t0}."""
-        if not t0 > 0:
-            raise DomainError(f"point mass requires t0 > 0, got {t0}")
-
-        def H(r):
-            val = np.exp(-(complex(r) ** 2) * t0)
-            return float(val.real) if abs(val.imag) < 1e-15 * abs(val) else complex(val)
-
-        def Hhat(u):
-            return math.exp(-u * u / (4.0 * t0)) / math.sqrt(4.0 * math.pi * t0)
-
-        return cls(h=None, H=H, Hhat=Hhat, provenance="analytic",
-                   epsilon=math.inf)
-
-
-def geometric_side(surface: SurfaceData, pair: TestFunctionPair,
-                   tol: float = 1e-10) -> float:
-    """Geometric side of the trace formula for the pair (H, Hhat):
-    identity + hyperbolic + elliptic terms assembled from the surface data."""
-    H = as_array_fn(pair.H)
-
-    def identity_integrand(r: np.ndarray):
-        return H(r) * np.tanh(math.pi * r) * r
-
-    ident = integrate_semi_infinite(identity_integrand, decay=0.5, tol=tol)
-    total = surface.volume / (2.0 * math.pi) * float(np.real(ident.value))
-
-    Hhat = as_array_fn(pair.Hhat)
-    total += geodesic_sum(surface.length_spectrum, Hhat)
-    total += cone_integral(surface.elliptic_orders, Hhat, 0.5, tol)
-    return total
-
-
-def spectral_side_compact(eigenvalues, pair: TestFunctionPair) -> float:
-    """Spectral side sum H(r_n) over r_n solving lambda = 1/4 + r^2,
-    with r in (0, inf) for lambda > 1/4 and in [0, i/2] otherwise."""
-    total = 0.0
-    for lam in eigenvalues:
-        lam = float(lam)
-        if lam < 0:
-            raise DomainError(f"eigenvalues must be >= 0, got {lam}")
-        r = math.sqrt(lam - 0.25) if lam >= 0.25 else 1j * math.sqrt(0.25 - lam)
-        total += float(np.real(pair.H(r)))
-    return total
-
-
-def noncompact_spectral_terms(p: int, scattering: ScatteringModel,
-                              pair: TestFunctionPair,
-                              tol: float = 1e-10) -> float:
-    """Cusp corrections to the spectral side:
-    -(1/4pi) int H phi'/phi dr + (p/2pi) int H Re psi(1+ir) dr
-    - (1/4)(p - Tr Phi(1/2)) H(0) + p log2 Hhat(0)."""
-    if p < 0:
-        raise DomainError(f"cusp count must be >= 0, got {p}")
-    scattering.validate(p)
-    H = as_array_fn(pair.H)
-    phi = as_array_fn(scattering.phi_log_deriv)
-
-    def phi_integrand(r: np.ndarray):
-        return H(r) * (phi(r) + phi(-r))
-
-    total = 0.0
-    phi_term = integrate_semi_infinite(phi_integrand, decay=0.5, tol=tol)
-    total -= float(np.real(phi_term.value)) / (4.0 * math.pi)
-
-    if p > 0:
-        psi = as_array_fn(lambda r: digamma(1.0 + 1j * r).real)
-
-        def psi_integrand(r: np.ndarray):
-            return H(r) * psi(r)
-
-        psi_term = integrate_semi_infinite(psi_integrand, decay=0.5, tol=tol)
-        total += p / math.pi * float(np.real(psi_term.value))
-        total += p * math.log(2.0) * pair.Hhat(0.0)
-    total -= 0.25 * (p - scattering.trace_phi_half) * float(np.real(pair.H(0.0)))
-    return total

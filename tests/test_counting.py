@@ -1,16 +1,14 @@
-"""Weighted counting functions: Riesz means, non-compact corrections,
-weight lowering, Weyl diagnostics."""
+"""Weighted counting functions: Riesz means and non-compact corrections."""
 
 import math
-import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from degenspec.counting import (ScatteringModel, counting_compact,
-                                counting_noncompact, counting_noncompact_hat,
-                                weight_lowering, weyl_ratio)
+                                counting_noncompact)
 from degenspec.errors import DomainError, ModelValidationError
 
 
@@ -118,7 +116,6 @@ class TestNoncompact:
 
     def test_five_term_assembly_oracle(self):
         # assemble the display by independent quadrature
-        from degenspec.special_fn import digamma, log_gamma
         eigs = [0.0, 0.3]
         p, w, T, c = 2, 0.5, 2.0, 1.1
         model = ScatteringModel(phi_log_deriv=lambda r: -2.0 * c,
@@ -127,9 +124,9 @@ class TestNoncompact:
         scat, _ = quad(lambda r: (T - 0.25 - r * r) ** w * (-2.0 * c), -R, R,
                        epsabs=1e-13)
         psi_int, _ = quad(lambda r: (T - 0.25 - r * r) ** w
-                          * complex(digamma(complex(1.0, r))).real, -R, R,
+                          * float(mp.re(mp.digamma(mp.mpc(1.0, r)))), -R, R,
                           epsabs=1e-13)
-        gamma_ratio = math.exp(log_gamma(w + 1.0) - log_gamma(w + 1.5))
+        gamma_ratio = math.exp(math.lgamma(w + 1.0) - math.lgamma(w + 1.5))
         oracle = (counting_compact(eigs, w, T)
                   - scat / (4 * math.pi)
                   + p / (2 * math.pi) * psi_int
@@ -138,15 +135,6 @@ class TestNoncompact:
                   * (T - 0.25) ** (w + 0.5))
         val = counting_noncompact(eigs, p, model, w, T)
         assert val == pytest.approx(oracle, abs=1e-9)
-
-    def test_hat_subset_monotone(self):
-        # discrete + scattering integral is nondecreasing in T when the
-        # model's lower bound holds
-        eigs = [0.0, 0.3, 0.8]
-        model = ScatteringModel(phi_log_deriv=lambda r: -3.0, q_M=1.3)
-        vals = [counting_noncompact_hat(eigs, model, 0.0, T)
-                for T in np.linspace(0.2, 3.0, 25)]
-        assert all(b >= a - 1e-10 for a, b in zip(vals[:-1], vals[1:]))
 
 
 # counting_noncompact([0, 0.3], p, model, w, T) on the models above, as the
@@ -186,63 +174,3 @@ def test_folded_tanh_sinh_keeps_the_gauss_kronrod_values(model, p, w, T,
                                                          value):
     assert abs(counting_noncompact([0.0, 0.3], p, MODELS[model](), w, T)
                - value) <= 1e-12
-
-
-class TestWeightLowering:
-    def test_riesz_mean_derivative(self):
-        # N_{w+1}(T) = (T - 0.1)^1 near T = 0.5: derivative 1, so the
-        # w = 0 count is recovered
-        N1 = lambda T: counting_compact([0.1], 1.0, T)
-        val = weight_lowering(N1, 0.0, 0.5)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_constant_input(self):
-        assert weight_lowering(lambda T: 3.0, 1.0, 1.0) == 0.0
-
-    def test_kernel_recursion_recovery(self):
-        from degenspec.degeneration import CwKernel, c_w_kernel
-        w = 0.5
-        higher = lambda T: c_w_kernel(CwKernel(T=T, w=w + 1.0))
-        val = weight_lowering(higher, w, 1.25, h=1e-4)
-        assert val == pytest.approx(c_w_kernel(CwKernel(T=1.25, w=w)),
-                                    abs=1e-6)
-
-    def test_richardson_improves(self):
-        higher = lambda T: T ** 3
-        plain = weight_lowering(higher, 0.0, 1.0, h=1e-2)
-        refined = weight_lowering(higher, 0.0, 1.0, h=1e-2, richardson=True)
-        assert abs(refined - 3.0) < abs(plain - 3.0)
-
-    def test_step_warning_near_kink(self):
-        N1 = lambda T: counting_compact([0.5], 1.0, T)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            weight_lowering(N1, 0.0, 0.5, h=0.2)
-        assert any("step" in str(w.message) or "disagree" in str(w.message)
-                   for w in caught)
-
-    def test_convergence_rate_away_from_eigenvalues(self):
-        # central differences of the exact Riesz mean converge at O(h^2)
-        # toward the analytic lower-weight sum
-        eigs = [0.1, 0.4]
-        w = 1.0
-        target = counting_compact(eigs, w, 1.0)
-        ests = [weight_lowering(lambda T: counting_compact(eigs, w + 1, T),
-                                w, 1.0, h=h) for h in (1e-2, 5e-3)]
-        errs = [abs(e - target) for e in ests]
-        assert errs[1] <= errs[0] * 0.3 + 1e-12
-
-
-class TestWeylRatio:
-    def test_synthetic_weyl_sequence(self):
-        vol = 4 * math.pi  # lambda_n = 4 pi n / vol = n
-        eigs = list(range(0, 10001))
-        lam = 10000.0
-        assert abs(weyl_ratio(eigs, vol, lam) - 1.0) <= 0.02
-
-    def test_empty(self):
-        assert weyl_ratio([], 1.0, 5.0) == 0.0
-
-    def test_threshold(self):
-        assert weyl_ratio([2.0], 1.0, 1.0) == 0.0
-        assert weyl_ratio([0.5], 4 * math.pi, 1.0) == 1.0

@@ -15,8 +15,7 @@ from scipy.special import jv
 
 from degenspec.degeneration import (CwKernel, SlopeFit, _kernel_integral,
                                     c_w_kernel, elliptic_sum_s, error_term_experiment,
-                                    fit_slope_vs_logQ, g_degenerating_counting,
-                                    optimize_epsilon)
+                                    fit_slope_vs_logQ, g_degenerating_counting)
 from degenspec import degeneration, traces
 from degenspec.errors import DomainError, FitError
 from degenspec.geometry import DegeneratingFamily, SurfaceData, hecke_family
@@ -283,7 +282,8 @@ class TestCountingSum:
     @staticmethod
     def _jv_route(orders, w, T, tol=1e-10):
         # G as cone_integral of (2R/u)^nu J_nu(Ru) with scipy's jv, z
-        # clamped at 1e-8, the route non-integer w keeps
+        # clamped at 1e-8, the route non-integer w took before its power
+        # series near z = 0
         R = math.sqrt(T - 0.25)
         nu = w + 0.5
         scale = math.gamma(w + 1.0) / (2.0 * math.sqrt(math.pi))
@@ -326,13 +326,44 @@ class TestCountingSum:
                 assert value == pytest.approx(self._jv_route((q,), w, T),
                                               rel=4e-15, abs=0.0)
                 assert calls[-1] <= most
+        # non-integer w keeps the jv route's values to a few ulp: only
+        # near z = 0 does hhat take the power series
         for q in self.Q_BANDS[::3]:
             s = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 3, q),
                             degenerating=(2,))
             for T in (0.3, 2.0, 10.0, 50.0):
                 for w in (0.5, 2.5):
-                    assert g_degenerating_counting(s, w, T) == \
-                        self._jv_route((q,), w, T)
+                    assert g_degenerating_counting(s, w, T) == pytest.approx(
+                        self._jv_route((q,), w, T), rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("w", [36.5, 40.5])
+    def test_non_integer_w_against_mpmath(self, w):
+        # (1/2) int_0^inf hhat(u) F(u) du at 40 digits, F from the closed
+        # form of the n-sum and [0, eps] as its limit; from w ~ 36.5 on,
+        # (2/z)^nu overflows near z = 0 while J_nu underflows, so hhat takes
+        # its power series there.  G grows like R^{2w+1}, which turns the
+        # rounding of R = sqrt(T - 1/4) into ~2w ulp of G: the oracle takes
+        # the library's float R
+        q, T = 64, 2.0
+
+        def integrand(u):
+            x = u / 2
+            series = mp.cosh(x) * (2 * q * mp.coth(q * x) / mp.sinh(2 * x)
+                                   - 1 / mp.sinh(x) ** 2) / q
+            return scale * (2 / (R * u)) ** nu * mp.besselj(nu, R * u) * series
+
+        with mp.workdps(40):
+            R = mp.mpf(math.sqrt(T - 0.25))
+            nu = w + mp.mpf(1) / 2
+            scale = mp.gamma(w + 1) / (2 * mp.sqrt(mp.pi)) * R ** (2 * nu)
+            eps = mp.mpf("1e-14") / q
+            total = mp.quad(integrand, [eps, 0.01, 0.1, 1, 10, 100, mp.inf])
+            total += (eps * mp.mpf(q * q - 1) / (3 * q) * scale
+                      / mp.gamma(nu + 1))
+        s = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 3, q),
+                        degenerating=(2,))
+        assert g_degenerating_counting(s, w, T) == pytest.approx(
+            float(total / 2), rel=1e-15)
 
     def test_multiple_cones_additive(self):
         s2 = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 40, 60),
@@ -396,35 +427,6 @@ class TestSlopeFit:
         fit = fit_slope_vs_logQ(
             fam, lambda m: g_degenerating_counting(m, 0.0, 1.25))
         assert fit.slope == pytest.approx(1.0 / math.pi, rel=0.02)
-
-
-class TestOptimizeEpsilon:
-    def test_unit(self):
-        assert optimize_epsilon(1.0, 1.0) == 1.0
-
-    def test_balances_error_terms(self):
-        f, logQ = 1.0, 25.0
-        eps = optimize_epsilon(f, logQ)
-        assert eps * logQ == pytest.approx(f / eps, rel=1e-12)
-        assert eps * logQ == pytest.approx(math.sqrt(f * logQ), rel=1e-12)
-
-    def test_two_stage_exponent(self):
-        # stage 1: f = 1 -> eps = (logQ)^{-1/2}, error eps*logQ = (logQ)^{1/2}
-        # stage 2: f = (logQ)^{1/2} -> eps = (logQ)^{-1/4},
-        #          error eps*logQ = (logQ)^{3/4}
-        logQ = 100.0
-        eps1 = optimize_epsilon(1.0, logQ)
-        assert eps1 == pytest.approx(logQ ** -0.5, rel=1e-12)
-        err1 = eps1 * logQ
-        eps2 = optimize_epsilon(err1, logQ)
-        assert eps2 == pytest.approx(logQ ** -0.25, rel=1e-12)
-        assert eps2 * logQ == pytest.approx(logQ ** 0.75, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            optimize_epsilon(0.0, 1.0)
-        with pytest.raises(DomainError):
-            optimize_epsilon(1.0, -1.0)
 
 
 class TestErrorTermExperiment:

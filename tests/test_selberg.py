@@ -6,7 +6,6 @@ s), and a Richardson central difference of log of the Euler product.
 """
 
 import cmath
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from degenspec.errors import AlphaCollisionError, DomainError, PoleError
 from degenspec.selberg import (selberg_logderiv_integral,
                                selberg_logderiv_kbessel,
-                               selberg_logderiv_series, selberg_z_prime_one,
-                               selberg_zeta_product, truncated_logderiv)
+                               selberg_logderiv_series, selberg_zeta_product,
+                               truncated_logderiv)
 
 spectra = st.lists(st.tuples(st.floats(0.5, 4.0), st.integers(1, 3)),
                    min_size=1, max_size=4)
@@ -105,15 +104,3 @@ def test_truncated_logderiv_pole():
     # lambda = 0 is removed, and s(s - 1) = 0 at s = 1
     with pytest.raises(PoleError):
         truncated_logderiv([(1.0, 1)], (0.0,), 0.1, 1.0)
-
-
-@pytest.mark.parametrize("ell", [0.7, 2.0])
-def test_z_prime_one_is_derivative_of_shifted_factor(ell):
-    # d/ds of (e^{-l} - e^{-s l}) prod_{n>=1} (1 - e^{-(s+n) l}) at s = 1
-    def shifted(s):
-        return ((math.exp(-ell) - math.exp(-s * ell))
-                * selberg_zeta_product([ell], s + 1.0).real)
-
-    h = 1e-4
-    derivative = (shifted(1 + h) - shifted(1 - h)) / (2 * h)
-    assert selberg_z_prime_one([ell]) == pytest.approx(derivative, rel=1e-7)

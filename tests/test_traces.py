@@ -1,8 +1,8 @@
-"""Heat-trace components, transforms, and trace-formula assembly.
+"""Heat-trace components and the trace formula's geometric side.
 
 Oracles: brute-force (geodesic, n) summation, scipy.integrate.quad on the
-defining integrals, elementary Laplace integrals, and the exact algebraic
-reduction of the order-2 elliptic integrand to a sech profile.
+defining integrals, and the exact algebraic reduction of the order-2
+elliptic integrand to a sech profile.
 """
 
 import math
@@ -13,22 +13,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from degenspec.counting import ScatteringModel
-from degenspec.errors import (AdmissibilityError, AlphaCollisionError,
-                              DomainError, InvariantViolation)
+from degenspec.errors import (AlphaCollisionError, DomainError,
+                              InvariantViolation)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.hplane import heat_kernel_h
 from degenspec import traces
 from degenspec.special_fn import as_array_fn, integrate_semi_infinite
-from degenspec.traces import (TestFunctionPair, TraceSeries, _cone_series,
-                              degenerating_trace,
-                              elliptic_trace_r, elliptic_trace_u, fermi_fold,
-                              fermi_weight,
-                              geometric_side, hyperbolic_sum_reduced,
+from degenspec.traces import (TraceSeries, _cone_series, cone_integral,
+                              degenerating_trace, elliptic_trace_r,
+                              elliptic_trace_u, fermi_fold, fermi_weight,
+                              geodesic_sum, hyperbolic_sum_reduced,
                               hyperbolic_trace, identity_trace,
-                              noncompact_spectral_terms, spectral_side_compact,
                               standard_trace, surface_trace_provider,
-                              transform_H, transform_Hhat, truncated_trace)
+                              truncated_trace)
 
 
 def brute_hyperbolic(spectrum, t):
@@ -136,7 +133,7 @@ class TestEllipticTraces:
     @pytest.mark.parametrize("q", [2, 3, 5, 12, 50])
     @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0])
     def test_dual_representation(self, q, t):
-        # the u-route (exp-sinh rule) against the per-n r-route (adaptive)
+        # the u-route against the per-n r-route, one exp-sinh integral per n
         u = elliptic_trace_u([q], t)
         r = elliptic_trace_r([q], t)
         assert u == pytest.approx(r, rel=1e-13)
@@ -339,141 +336,24 @@ class TestTruncatedTrace:
             truncated_trace(s, 0.2, 1.0)
 
 
-class TestTransforms:
-    def test_laplace_of_exponential(self):
-        # h = e^{-at}: H(r) = 1/(a + r^2)
-        for a in (0.5, 1.5):
-            for r in (0.0, 1.0, 2.5):
-                val = transform_H(lambda t, a=a: np.exp(-a * t), r)
-                assert val == pytest.approx(1.0 / (a + r * r), abs=1e-10)
-
-    def test_gaussian_transform_oracle(self):
-        h = lambda t: np.exp(-1.5 * t)
-        for u in (0.0, 2.0):
-            oracle, _ = quad(lambda t: math.exp(-1.5 * t)
-                             * math.exp(-u * u / (4 * t)) / math.sqrt(4 * math.pi * t),
-                             0, 80, epsabs=1e-13)
-            assert transform_Hhat(h, u) == pytest.approx(oracle, abs=1e-9)
-
-    def test_point_mass_closed_forms(self):
-        t0 = 0.8
-        pair = TestFunctionPair.point_mass(t0)
-        assert pair.H(1.3) == pytest.approx(math.exp(-1.3 ** 2 * t0), rel=1e-14)
-        assert pair.Hhat(2.0) == pytest.approx(
-            math.exp(-4.0 / (4 * t0)) / math.sqrt(4 * math.pi * t0), rel=1e-14)
-        assert pair.provenance == "analytic"
-
-    def test_imaginary_argument(self):
-        # H(i/2) = int h(t) e^{t/4} dt for admissible h
-        h = lambda t: np.exp(-0.6 * t)
-        val = transform_H(h, 0.5j)
-        assert val == pytest.approx(1.0 / (0.6 - 0.25), abs=1e-9)
-
-    def test_numeric_pair_certification(self):
-        pair = TestFunctionPair.from_h(lambda t: np.exp(-0.6 * t))
-        assert pair.provenance == "numeric"
-        assert pair.epsilon > 0
-        assert pair.H(1.0) == pytest.approx(1.0 / 1.6, abs=1e-9)
-
-    def test_inadmissible_rejected(self):
-        # e^{-t/4} sits exactly on the boundary: no eps > 0 certificate
-        with pytest.raises(AdmissibilityError):
-            TestFunctionPair.from_h(lambda t: np.exp(-0.25 * t))
-
-    def test_analytic_pair_verified(self):
-        h = lambda t: np.exp(-1.5 * t)
-        pair = TestFunctionPair.analytic(
-            h, H=lambda r: 1.0 / (1.5 + complex(r) ** 2),
-            Hhat=lambda u: transform_Hhat(h, u))
-        assert pair.provenance == "analytic"
-        with pytest.raises(AdmissibilityError):
-            TestFunctionPair.analytic(h, H=lambda r: 2.0 / (1.5 + complex(r) ** 2),
-                                      Hhat=lambda u: transform_Hhat(h, u))
-
-
 class TestTraceFormulaSides:
     def test_point_mass_matches_standard_trace(self, compact_surface):
-        # the trace formula specialized to the heat weight: the geometric
-        # side at the point-mass pair equals e^{t0/4} Str(t0)
+        # the geometric side of the trace formula at the heat weight, the
+        # pair H(r) = e^{-r^2 t0}, Hhat(u) = e^{-u^2/4t0}/sqrt(4 pi t0),
+        # assembled term by term, equals e^{t0/4} Str(t0)
         t0 = 0.8
-        pair = TestFunctionPair.point_mass(t0)
-        gs = geometric_side(compact_surface, pair, tol=1e-11)
-        assert gs == pytest.approx(
+
+        def hhat(u):
+            return np.exp(-u * u / (4.0 * t0)) / math.sqrt(4.0 * math.pi * t0)
+
+        ident, _ = quad(lambda r: math.exp(-r * r * t0)
+                        * math.tanh(math.pi * r) * r, 0, np.inf, epsabs=1e-13)
+        side = (compact_surface.volume / (2.0 * math.pi) * ident
+                + geodesic_sum(compact_surface.length_spectrum, hhat)
+                + cone_integral(compact_surface.elliptic_orders, hhat, 0.5,
+                                1e-11))
+        assert side == pytest.approx(
             math.exp(t0 / 4.0) * standard_trace(compact_surface, t0), rel=1e-8)
-
-    def test_cone_term_matches_per_n_r_integrals(self, bare_surface):
-        # the cone term against its defining sum over (q, n) of r-integrals
-        # of H against the Fermi weight; the identity term is the bare
-        # surface's, rescaled by volume
-        pair = TestFunctionPair.from_h(lambda t: t * np.exp(-0.7 * t))
-        surface = SurfaceData(genus=2, num_cusps=0, elliptic_orders=(2, 3, 7))
-        cone = 0.0
-        for q in surface.elliptic_orders:
-            for n in range(1, q):
-                def integrand(r, b=n / q):
-                    hv = np.asarray([pair.H(ri) for ri in r])
-                    return hv * (fermi_weight(b, r) + fermi_weight(b, -r))
-
-                res = integrate_semi_infinite(integrand, decay=0.5, tol=1e-11)
-                cone += res.value / (2 * q * math.sin(n * math.pi / q))
-        ident = geometric_side(bare_surface, pair, tol=1e-11) \
-            * surface.volume / bare_surface.volume
-        assert geometric_side(surface, pair, tol=1e-11) == pytest.approx(
-            ident + cone, abs=1e-10)
-
-    def test_empty_surface_identity_only(self, bare_surface):
-        t0 = 1.0
-        pair = TestFunctionPair.point_mass(t0)
-        gs = geometric_side(bare_surface, pair)
-        ident = math.exp(t0 / 4.0) * bare_surface.volume * heat_kernel_h(t0, 0.0)
-        assert gs == pytest.approx(ident, rel=1e-9)
-
-    def test_spectral_side_branches(self):
-        pair = TestFunctionPair.point_mass(0.5)
-        # lambda = 0 -> r = i/2 -> H(i/2) = e^{t0/4}
-        assert spectral_side_compact([0.0], pair) == pytest.approx(
-            math.exp(0.5 / 4.0), rel=1e-13)
-        # lambda = 1/2 -> r = 1/2 real
-        assert spectral_side_compact([0.5], pair) == pytest.approx(
-            math.exp(-0.25 * 0.5), rel=1e-13)
-
-    def test_sides_agree_on_matched_model(self, bare_surface):
-        # a spectral list synthesized from the geometric side at one weight
-        # will not match at another unless the data is genuinely consistent;
-        # here we only check the identity-term bookkeeping is coherent
-        pair = TestFunctionPair.point_mass(1.0)
-        gs = geometric_side(bare_surface, pair)
-        assert gs > 0
-
-
-class TestNoncompactTerms:
-    def test_trivial_scattering_no_cusps(self):
-        pair = TestFunctionPair.point_mass(1.0)
-        assert noncompact_spectral_terms(0, ScatteringModel.trivial(), pair) \
-            == 0.0
-
-    def test_constant_scattering_pullout(self):
-        # phi'/phi = -2c: its term is (c/2pi) int H(r) dr = c/(2 sqrt(a))
-        # for H = 1/(a + r^2)
-        c, a = 0.7, 0.6
-        pair = TestFunctionPair.from_h(lambda t: np.exp(-a * t))
-        model = ScatteringModel(phi_log_deriv=lambda r: -2.0 * c,
-                                trace_phi_half=0.0, q_M=1.2)
-        val = noncompact_spectral_terms(0, model, pair, tol=1e-11)
-        assert val == pytest.approx(c / (2.0 * math.sqrt(a)), abs=1e-8)
-
-    def test_trace_phi_cancellation(self):
-        # Tr Phi(1/2) = p kills the (p - Tr Phi) term; with phi'/phi = 0 the
-        # remaining terms are the digamma and log-2 pieces
-        p = 1
-        pair = TestFunctionPair.point_mass(1.0)
-        model_eq = ScatteringModel(phi_log_deriv=lambda r: -2.0,
-                                   trace_phi_half=float(p), q_M=math.e)
-        model_zero = ScatteringModel(phi_log_deriv=lambda r: -2.0,
-                                     trace_phi_half=0.0, q_M=math.e)
-        diff = (noncompact_spectral_terms(p, model_zero, pair)
-                - noncompact_spectral_terms(p, model_eq, pair))
-        assert diff == pytest.approx(-0.25 * p * pair.H(0.0), rel=1e-10)
 
 
 class TestDegenerationMonitors:

@@ -16,8 +16,8 @@ import pytest
 from scipy.special import zeta as riemann_zeta
 
 from degenspec import special_fn, zeta_det
-from degenspec.errors import (AlphaCollisionError, DivergenceError,
-                              DomainError, ExpansionMismatchError, FitError,
+from degenspec.errors import (AlphaCollisionError, DomainError,
+                              ExpansionMismatchError, FitError,
                               InsufficientSubtractionsError, PoleError,
                               QuadratureError, StripViolationError)
 from degenspec.geometry import DegeneratingFamily, SurfaceData
@@ -88,30 +88,6 @@ class TestSeries:
         val = spectral_zeta_series([1.0, 4.0], s)
         oracle = 1.0 + complex(np.exp(-s * math.log(4.0)))
         assert abs(val - oracle) <= 1e-14
-
-    def test_generator_with_certificate(self):
-        def gen():
-            n = 0
-            while True:
-                n += 1
-                yield float(n)
-
-        val = spectral_zeta_series(gen(), 3.0, growth=1.0, tol=1e-12)
-        assert val.real == pytest.approx(riemann_zeta(3.0), abs=1e-8)
-
-    def test_generator_needs_halfplane(self):
-        def gen():
-            n = 0
-            while True:
-                n += 1
-                yield float(n)
-
-        with pytest.raises(DivergenceError):
-            spectral_zeta_series(gen(), 0.9, growth=1.0)
-
-    def test_generator_needs_certificate(self):
-        with pytest.raises(DomainError):
-            spectral_zeta_series(iter([1.0, 2.0]), 2.0)
 
 
 class TestMellin:
@@ -733,6 +709,25 @@ class TestSurfaceTermByTerm:
 
 
 class TestDegenerationExperiments:
+    def test_zeta_mode_error_carries_every_row(self, hecke_like_family):
+        # |1/Gamma(s)| ~ 3e6 at s = 0.5+10i: the shared HTr + ETr(kept)
+        # integral misses tol, and the error's value is the list of rows,
+        # each the member's kept-cone zeta minus the removed mode 0.05
+        s = 0.5 + 10j
+        template = hecke_like_family.template
+        shared = (mp_elliptic_zeta(template.kept_orders, s)
+                  + mp_hyperbolic_zeta(template.length_spectrum, s)
+                  - 0.05 ** -s)
+        unit = mp_identity_zeta(1.0, s)
+        with pytest.raises(QuadratureError) as info:
+            degeneration_subtraction_zeta(hecke_like_family, 0.1, s,
+                                          mode="zeta", tol=1e-12)
+        rows = info.value.value
+        assert [q for q, _ in rows] == [1e2, 1e3, 1e4, 1e5]
+        for (_, value), member in zip(rows, hecke_like_family.members()):
+            oracle = shared + member.volume * unit
+            assert abs(value - oracle) <= info.value.error_estimate
+
     def test_zeta_mode_cauchy(self, hecke_like_family):
         rows = degeneration_subtraction_zeta(hecke_like_family, 0.1, 2.0,
                                              mode="zeta", tol=1e-11)

@@ -40,6 +40,41 @@ class TestQuadratureResult:
             QuadratureResult(1.0, 0.0, 0)
 
 
+class TestIntegrateSemiInfinite:
+    """integrate_semi_infinite's contract: decay is a scale hint, not a rate
+    the integrand must match, and bad input is rejected."""
+
+    def test_exponential(self):
+        for decay in (0.25, 1.0, 4.0):
+            res = integrate_semi_infinite(lambda t: np.exp(-t), decay=decay,
+                                          tol=1e-12)
+            assert abs(res.value - 1.0) <= 1e-15
+            assert res.error_estimate <= 1e-12
+
+    def test_sech_squared(self):
+        # int_0^inf sech^2(pi r) dr = 1/pi; sech^2(pi r) ~ 4 e^{-2 pi r}
+        for decay in (1.0, 2.0 * math.pi):
+            res = integrate_semi_infinite(
+                lambda r: 1.0 / np.cosh(np.pi * r) ** 2, decay=decay,
+                tol=1e-12)
+            assert abs(res.value - 1.0 / math.pi) <= 1e-15
+            assert res.error_estimate <= 1e-12
+
+    def test_nan_propagation_rejected(self):
+        with pytest.raises(NonFiniteIntegrandError):
+            integrate_semi_infinite(lambda t: np.full_like(t, np.nan),
+                                    decay=1.0)
+        # one NaN node among finite ones is enough
+        with pytest.raises(NonFiniteIntegrandError):
+            integrate_semi_infinite(
+                lambda t: np.where(t > 3.0, np.nan, np.exp(-t)), decay=1.0)
+
+    def test_bad_decay_hint(self):
+        for decay in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                integrate_semi_infinite(lambda t: np.exp(-t), decay=decay)
+
+
 class TestIntegrateExpSinh:
     """integrate_semi_infinite, the exp-sinh rule."""
 
@@ -117,6 +152,19 @@ class TestIntegrateExpSinh:
             integrate_semi_infinite(lambda t: np.exp(-t), decay=-1.0)
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda t: np.exp(-t), tol=0.0)
+
+    def test_bit_identical_repeats(self):
+        # a batch of rows repeats bit for bit, as one integral does
+        a = np.array([0.1, 1.3, 40.0])
+
+        def f(u, rows):
+            return np.exp(-a[rows, None] * u) * np.cos(u)
+
+        first = integrate_semi_infinite(f, decay=a, tol=1e-12)
+        again = integrate_semi_infinite(f, decay=a, tol=1e-12)
+        assert np.array_equal(first.value, again.value)
+        assert first.error_estimate == again.error_estimate
+        assert first.evaluations == again.evaluations
 
 
 def _gamma_rows(a, b):
@@ -316,6 +364,30 @@ def test_node_tables_are_read_only():
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 1.0
+
+
+class TestIntegrateFinite:
+    """integrate_finite on singular ends and bad intervals."""
+
+    def test_semicircle(self):
+        # endpoint sqrt singularities of the derivative, at ends 0 and not
+        for f, a, b in [(lambda r: np.sqrt(1.0 - r * r), -1.0, 1.0),
+                        (lambda r: np.sqrt(r * (2.0 - r)), 0.0, 2.0)]:
+            res = integrate_finite(f, a, b, tol=1e-10)
+            assert abs(res.value - math.pi / 2.0) <= 1e-12
+
+    def test_invalid_interval(self):
+        with pytest.raises(DomainError):
+            integrate_finite(lambda t: t, 1.0, 0.0)
+
+    def test_mellin_endpoint_singularity(self):
+        # a Mellin-type integrand t^{s-1} e^{-t}, s = 1/2:
+        # int_0^1 t^{-1/2} e^{-t} dt = gamma(1/2, 1) = sqrt(pi) erf(1)
+        oracle = math.sqrt(math.pi) * math.erf(1.0)
+        res = integrate_finite(lambda t: t ** -0.5 * np.exp(-t), 0.0, 1.0,
+                               tol=1e-12)
+        assert abs(res.value - oracle) <= 1e-13
+        assert res.error_estimate <= 1e-12
 
 
 class TestIntegrateTanhSinh:

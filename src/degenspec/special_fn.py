@@ -11,7 +11,8 @@ one array call of the integrand, the new nodes of levels 1-4 one more, and
 each later level one more; the nodes are tabulated once per level and map
 (_de_level, _ts_level), and the look-ahead windows once per window
 (_de_nodes).  exp-sinh serves every half-line integral of the package, all
-analytic in a strip: the cone, plane-kernel and identity integrals, the
+analytic in a strip: the cone integrals, the plane kernel off the diagonal
+and, at complex time only, on it (real time has a closed form there), the
 r-form of ETr, the Selberg heat-trace integral and the one Mellin integral
 of `zeta_det`, for opaque traces and surfaces alike.  An array of decay
 rates batches a family of such integrals, one row per entry (the
@@ -188,8 +189,9 @@ def _exp_sinh(f: Callable, decay, tol: float) -> QuadratureResult:
     if tol <= 0:
         raise DomainError("tolerance must be > 0")
     decay = np.asarray(decay, dtype=float)
-    if decay.ndim > 1 or not (decay > 0).all():
-        raise DomainError("decay hint must be > 0, a scalar or a 1-D array")
+    if decay.ndim > 1 or not (decay > 0).all() or not np.isfinite(decay).all():
+        raise DomainError("decay hint must be finite and > 0, a scalar or a "
+                          "1-D array")
     batch = decay.ndim == 1
     # floating-point warnings are ignored, as as_array_fn does
     with np.errstate(all="ignore"):
@@ -262,7 +264,7 @@ def _de_result(rule: str, parts: list, tol: float,
     error = max(errors)
     if not all(converged):
         raise QuadratureError(
-            f"{rule} levels did not agree by step 2^-{_DE_LEVELS - 1}: "
+            f"{rule} levels did not agree by step 2^-{_DE_LEVELS}: "
             f"difference {error:.3e} > {tol:.3e}",
             value=value, error_estimate=error, evaluations=evaluations)
     return QuadratureResult(value, error, evaluations)

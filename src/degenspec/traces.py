@@ -9,8 +9,10 @@ trace summed over cone orders (two equivalent integral representations),
 and the identity contribution proportional to the plane kernel on the
 diagonal.  The degenerating trace DTr is the elliptic trace restricted to
 the cones being opened into cusps.  HTr, ETr, the identity term and Str take
-a scalar t, giving a float, or an array of t, giving one value per entry;
-HTr, ETr and the identity term are one batched call each.
+a scalar t, giving a float, or an array of t, giving one value per entry:
+ETr is one batched exp-sinh call, HTr one array sum over the length
+spectrum and the identity term one evaluation of the plane kernel's closed
+form (hplane), with no quadrature.
 
 Every hyperbolic term, of the heat trace and of the Selberg routes, is
 geodesic_sum: the (geodesic, n) sum of mult l/(2 sinh(n l/2)) weight(n l),
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import AlphaCollisionError, DomainError, InvariantViolation
 from .geometry import SurfaceData
-from .hplane import heat_kernel_h
+from .hplane import _diagonal, heat_kernel_h
 from .special_fn import integrate_semi_infinite
 
 __all__ = [
@@ -135,21 +137,24 @@ def _shaped(values, t):
 
 
 def identity_trace(vol: float, t, tol: float = 1e-12):
-    """Identity contribution vol * e^{-t/4}/(4t) * int_0^inf e^{-t r^2} sech^2(pi r) dr.
+    """Identity contribution vol * K(t, 0), K the plane kernel's closed form
+    (heat_kernel_h):
 
-    t may be an array: one value per entry from one batched exp-sinh call,
-    in the shape of t; a scalar t gives a float."""
+        vol e^{-t/4} (1 - 2 sum_{k>=1} (-1)^{k-1} g_k)/(4 pi t),
+        g_k = 1 - sqrt(pi) x_k erfcx(x_k),  x_k = pi k/sqrt(t),
+
+    the alternating series summed by Cohen-Rodriguez Villegas-Zagier
+    Algorithm 1 with 26 fixed weights, to within 2 (3 + sqrt 8)^-26 g_1
+    < 1e-19.  Any tol > 0 is met by construction; against 40-digit mpmath
+    the relative error is below 5e-15 max(1, sqrt t).  t may be an array:
+    one value per entry, each equal bit for bit to the scalar call, in the
+    shape of t; a scalar t gives vol * heat_kernel_h(t, 0), a float."""
     if not vol > 0:
         raise DomainError(f"volume must be > 0, got {vol}")
-    flat, col = _times(t)
-    minus_t = -col
-
-    def integrand(r: np.ndarray, rows=...):
-        return np.exp(r * r * minus_t[rows]) / np.cosh(math.pi * r) ** 2
-
-    res = integrate_semi_infinite(integrand, decay=np.maximum(flat, 1.0),
-                                  tol=tol)
-    return _shaped(vol * np.exp(-flat / 4.0) / (4.0 * flat) * res.value, t)
+    if not tol > 0:
+        raise DomainError("tolerance must be > 0")
+    flat, _ = _times(t)
+    return _shaped(vol * _diagonal(flat), t)
 
 
 def _normalize_spectrum(spectrum):
@@ -414,13 +419,13 @@ def degenerating_trace(surface: SurfaceData, t: float, tol: float = 1e-12) -> fl
 
 def standard_trace(surface: SurfaceData, t, tol: float = 1e-12):
     """Regularized heat trace HTr + ETr + vol * K(t, 0).  t may be an array,
-    giving one value per entry: HTr and ETr from one batched call each,
-    K(t, 0) entry by entry; a scalar t gives a float."""
-    plane = (heat_kernel_h(t, 0.0, tol) if np.ndim(t) == 0 else
-             _shaped([heat_kernel_h(x, 0.0, tol) for x in np.ravel(t)], t))
+    giving one value per entry: HTr, ETr and vol * K(t, 0) from one batched
+    call each; a scalar t gives a float."""
+    identity = (surface.volume * heat_kernel_h(t, 0.0, tol) if np.ndim(t) == 0
+                else identity_trace(surface.volume, t, tol))
     return (hyperbolic_trace(surface.length_spectrum, t)
             + elliptic_trace_u(surface.elliptic_orders, t, tol)
-            + surface.volume * plane)
+            + identity)
 
 
 def _removed_eigenvalues(eigenvalues, alpha: float, *,

@@ -55,6 +55,20 @@ def circle_theta(t):
 MP_DPS = 20
 
 
+def mp_plane_kernel_diagonal(t, dps=30):
+    """K(t, 0) = e^{-t/4}/(2 pi) int_0^inf r e^{-t r^2} tanh(pi r) dr, an
+    mpf at dps digits (set here, per call), by mpmath quadrature split at
+    the tanh scale and at multiples of the Gaussian's width 1/sqrt(t)."""
+    with mp.workdps(dps):
+        t = mp.mpf(t)
+        width = 1 / mp.sqrt(t)
+        knots = sorted({mp.mpf(0), min(width, 1) / 4, min(width, 1), width,
+                        4 * width, 16 * width})
+        value = mp.quad(lambda r: r * mp.exp(-t * r * r) * mp.tanh(mp.pi * r),
+                        knots + [mp.inf])
+        return +(mp.exp(-t / 4) * value / (2 * mp.pi))
+
+
 def mp_identity_zeta(vol, s):
     """(vol/2pi) int_0^inf (1/4 + r^2)^{-s} r tanh(pi r) dr, continued: with
     tanh = 1 - 2/(e^{2 pi r} + 1) the first part is (1/4)^{1-s}/(2(s - 1))

@@ -1,16 +1,23 @@
 """Heat kernel on the hyperbolic plane.
 
 Oracles: scipy.integrate.quad on the defining integrals (an independent
-adaptive scheme), the small-time Euclidean limit, and the modulus bound for
+adaptive scheme), mpmath quadrature of the diagonal r-integral, the
+exp-sinh r-integral at complex time (the second route to the diagonal's
+closed form), the small-time Euclidean limit, and the modulus bound for
 complex time."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mp_reference import mp_plane_kernel_diagonal
+
+from degenspec import special_fn, traces
 from degenspec.errors import DomainError
+from degenspec.geometry import SurfaceData
 from degenspec.hplane import (ComplexTime, complex_time_bound, heat_kernel_h,
                               heat_kernel_h_complex)
 
@@ -71,6 +78,57 @@ class TestRealTime:
             heat_kernel_h(0.0, 1.0)
         with pytest.raises(DomainError):
             heat_kernel_h(1.0, -0.1)
+
+
+def _closed_form_bound(t):
+    # the cancellation in 1 - 2 sum grows like 0.36 sqrt(t); dense scans
+    # reach 3.4e-15 below t = 1 and 2.5e-15 sqrt(t) above
+    return 5e-15 * max(1.0, math.sqrt(t))
+
+
+class TestDiagonalClosedForm:
+    @pytest.mark.parametrize("times", [np.geomspace(1e-8, 100.0, 17),
+                                       np.geomspace(100.0, 2975.0, 9)],
+                             ids=["1e-8..100", "100..2975"])
+    def test_against_mpmath(self, times):
+        for t in times:
+            exact = mp_plane_kernel_diagonal(t)
+            if exact < 1e-300:  # e^{-t/4} in the subnormal range
+                continue
+            error = abs((mp.mpf(heat_kernel_h(float(t), 0.0)) - exact) / exact)
+            assert error <= _closed_form_bound(t), t
+
+    def test_underflow_and_smallest_mellin_node(self):
+        for t in (3000.0, 1e4, 1e8):
+            assert heat_kernel_h(t, 0.0) == 0.0
+        # t = 1e-51, the Mellin rule's smallest node: 1/(4 pi t) to rounding
+        assert heat_kernel_h(1e-51, 0.0) == pytest.approx(
+            1.0 / (4.0 * math.pi * 1e-51), rel=1e-15)
+
+    def test_matches_the_quadrature_route(self):
+        for t in np.geomspace(1e-4, 50.0, 15):
+            route = heat_kernel_h_complex(ComplexTime(float(t)), 0.0)
+            assert heat_kernel_h(float(t), 0.0) == pytest.approx(
+                route.real, rel=1e-14)
+
+    def test_no_quadrature_on_the_real_diagonal(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(special_fn, "_de_rows", fail)
+        times = np.geomspace(1e-3, 10.0, 5)
+        heat_kernel_h(0.5, 0.0)
+        traces.identity_trace(2.0, times)
+        bare = SurfaceData(genus=2, num_cusps=0)
+        traces.standard_trace(bare, 0.5)
+        traces.standard_trace(bare, times)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(DomainError):
+            heat_kernel_h(1.0, 0.0, tol)
+        with pytest.raises(DomainError):
+            traces.identity_trace(1.0, 1.0, tol)
 
 
 class TestComplexTime:

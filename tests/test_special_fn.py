@@ -18,7 +18,7 @@ from degenspec.degeneration import g_degenerating_counting
 from degenspec.errors import (DomainError, NonFiniteIntegrandError,
                               QuadratureError)
 from degenspec.geometry import SurfaceData
-from degenspec.hplane import heat_kernel_h
+from degenspec.hplane import ComplexTime, heat_kernel_h_complex
 from degenspec.special_fn import (_DE_ROWS, KBesselArgs, QuadratureResult,
                                   _de_level, _de_nodes, _ts_level,
                                   integrate_finite, integrate_semi_infinite,
@@ -70,7 +70,7 @@ class TestIntegrateSemiInfinite:
                 lambda t: np.where(t > 3.0, np.nan, np.exp(-t)), decay=1.0)
 
     def test_bad_decay_hint(self):
-        for decay in (0.0, math.nan):
+        for decay in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 integrate_semi_infinite(lambda t: np.exp(-t), decay=decay)
 
@@ -126,6 +126,8 @@ class TestIntegrateExpSinh:
                 lambda t: np.sin(50.0 * t) * np.exp(-0.01 * t), decay=0.01,
                 tol=1e-14)
         exc = err.value
+        # the level loop halves the step from 1/2 down to h = 2^-16
+        assert "did not agree by step 2^-16:" in str(exc)
         assert math.isfinite(exc.value)
         assert exc.error_estimate > 1e-14
         assert exc.evaluations > 0
@@ -262,7 +264,7 @@ LEVEL_BY_LEVEL = [
      0.6826863723433446, 1.211137537520031e-15, 169, 2),
     ("etr-1e7", lambda: elliptic_trace_u((10 ** 7,), 1.0),
      8.568216795979644, 1.5176824781905934e-14, 712, 4),
-    ("plane-kernel", lambda: heat_kernel_h(0.5, 0.0),
+    ("plane-kernel", lambda: heat_kernel_h_complex(ComplexTime(0.5), 0.0),
      0.4807846202472672 + 0j, 2.9976021664879227e-15, 154, 2),
     ("power", lambda: integrate_semi_infinite(
         lambda u: u ** -0.4 * np.exp(-u), decay=1.0, tol=1e-13),
@@ -462,6 +464,7 @@ class TestIntegrateTanhSinh:
         with pytest.raises(QuadratureError) as err:
             integrate_finite(f, 0.0, 1.0, tol)
         exc = err.value
+        assert "did not agree by step 2^-16:" in str(exc)
         assert exc.error_estimate > tol
         assert abs(exc.value - value) <= exc.error_estimate
         assert exc.evaluations > 100_000

@@ -45,11 +45,16 @@ class TestIdentityTrace:
         assert abs(4 * math.pi * t * identity_trace(vol, t) / vol - 1.0) <= 1e-3
 
     def test_equals_volume_times_plane_kernel(self):
-        # integration-by-parts identity between the two diagonal forms
-        for t in (1e-3, 0.1, 1.0, 10.0):
-            lhs = identity_trace(5.5, t)
-            rhs = 5.5 * heat_kernel_h(t, 0.0)
-            assert lhs == pytest.approx(rhs, rel=1e-14)
+        # one closed form under both, so equal bit for bit
+        for t in (1e-51, 1e-3, 0.1, 1.0, 10.0, 2975.0, 3000.0):
+            assert identity_trace(5.5, t) == 5.5 * heat_kernel_h(t, 0.0)
+
+    def test_array_entries_equal_the_scalar_calls(self):
+        times = np.geomspace(1e-51, 3000.0, 150).reshape(10, 15)
+        batch = identity_trace(5.5, times)
+        assert batch.shape == times.shape
+        assert batch.tolist() == [[identity_trace(5.5, t) for t in row]
+                                  for row in times.tolist()]
 
     def test_upper_bound(self):
         for t in (0.01, 1.0, 4.0):
@@ -458,8 +463,7 @@ class TestBatchedTimes:
         ident = identity_trace(4.0 * math.pi, np.array(times))
         htr = hyperbolic_trace(spectrum, np.array(times))
         for t, a, b in zip(times, ident, htr):
-            assert a == pytest.approx(identity_trace(4.0 * math.pi, t),
-                                      rel=1e-15)
+            assert a == identity_trace(4.0 * math.pi, t)
             assert b == pytest.approx(hyperbolic_trace(spectrum, t),
                                       rel=1e-15, abs=1e-300)
 

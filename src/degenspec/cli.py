@@ -1,11 +1,14 @@
 """Command-line workbench: every computation, sweep, and convergence
 experiment behind one `degenspec` entry point with CSV/JSON/SVG emission.
 
-Exit codes: 0 success, 2 config or parse error, 3 numeric non-convergence,
-4 invariant violation in the inputs.  Grids are start:stop:count with an
-optional log: prefix.  Every table carries a comment header recording the
-command, an input hash, and the tolerances used, so identical configs give
-byte-identical outputs.
+The parsed arguments are the whole configuration: each subcommand's
+namespace carries the function that runs it, and main parses the grids,
+checks tol and the grids before any file is read, runs the command and
+emits its table.  Exit codes: 0 success, 2 config or parse error, 3 numeric
+non-convergence, 4 invariant violation in the inputs.  Grids are
+start:stop:count with an optional log: prefix.  Every table carries a
+comment header recording the command, an input hash, and the tolerances
+used, so identical configs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (DegenspecError, DomainError, InvariantViolation,
 from .geometry import (hecke_family, load_family, load_surface,
                        surface_to_dict)
 
-__all__ = ["RunConfig", "run", "emit_csv", "emit_svg", "parse_grid", "main"]
+__all__ = ["emit_csv", "emit_svg", "parse_grid", "main"]
 
 COMMANDS = ("surface", "trace", "degenerate", "count", "zeta", "selberg",
             "det", "hecke-sweep")
@@ -35,31 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INVARIANT = 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str = "csv"
-    tol: float = 1e-10
-    t_grid: list = field(default_factory=list)
-    T_grid: list = field(default_factory=list)
-    s_grid: list = field(default_factory=list)
-    w: float = 0.0
-    alpha: float | None = None
-    im_s: float = 0.0
-    N_values: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise DomainError(f"unknown command '{self.command}'")
-        if self.tol <= 0:
-            raise DomainError("tolerances must be > 0")
-        for grid in (self.t_grid, self.T_grid, self.s_grid):
-            if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-                raise DomainError("grids must be sorted strictly increasing")
 
 
 def parse_grid(spec: str) -> list:
@@ -176,21 +154,21 @@ def emit_svg(table: Table, stream, width: int = 640, height: int = 480) -> None:
     stream.write("</svg>\n")
 
 
-def _input_hash(config: RunConfig) -> str:
+def _input_hash(config) -> str:
     h = hashlib.sha256()
-    if config.input_path:
+    if getattr(config, "input_path", None):
         try:
             with open(config.input_path, "rb") as fh:
                 h.update(fh.read())
         except OSError as exc:
             raise ParseError(f"cannot read {config.input_path}: {exc}") from exc
     else:
-        h.update(repr((config.command, config.N_values, config.T_grid,
+        h.update(repr((config.command, config.N_values, [config.T],
                        config.w)).encode())
     return h.hexdigest()[:16]
 
 
-def _comments(config: RunConfig) -> list:
+def _comments(config) -> list:
     return [
         f"command: {config.command}",
         f"input_hash: {_input_hash(config)}",
@@ -198,7 +176,7 @@ def _comments(config: RunConfig) -> list:
     ]
 
 
-def _run_surface(config: RunConfig) -> Table:
+def _run_surface(config) -> Table:
     surface = load_surface(config.input_path)
     info = surface_to_dict(surface)
     rows = [[key, json.dumps(info[key], sort_keys=True)]
@@ -207,10 +185,8 @@ def _run_surface(config: RunConfig) -> Table:
                  comments=_comments(config))
 
 
-def _run_trace(config: RunConfig) -> Table:
+def _run_trace(config) -> Table:
     surface = load_surface(config.input_path)
-    if not config.t_grid:
-        raise DomainError("trace needs a t-grid (--t start:stop:count)")
     alpha = config.alpha
     # each column is one call over the whole grid
     grid = np.asarray(config.t_grid, dtype=float)
@@ -226,10 +202,10 @@ def _run_trace(config: RunConfig) -> Table:
                  comments=_comments(config))
 
 
-def _sweep_table(family, config: RunConfig, T: float) -> Table:
+def _sweep_table(family, config) -> Table:
     fit = degeneration.fit_slope_vs_logQ(
         family, lambda m: degeneration.g_degenerating_counting(
-            m, config.w, T, config.tol))
+            m, config.w, config.T, config.tol))
     rows = []
     for row_q, lq, val in zip(family.schedule, fit.abscissae, fit.ordinates):
         qprod = 1
@@ -238,7 +214,7 @@ def _sweep_table(family, config: RunConfig, T: float) -> Table:
         residual = val - (fit.slope * lq + fit.intercept)
         rows.append([qprod, lq, val, residual])
     comments = _comments(config) + [
-        f"T: {T!r}", f"w: {config.w!r}",
+        f"T: {config.T!r}", f"w: {config.w!r}",
         f"fit_slope: {fit.slope!r}", f"fit_intercept: {fit.intercept!r}",
         f"fit_rms_residual: {fit.residual!r}",
     ]
@@ -246,26 +222,18 @@ def _sweep_table(family, config: RunConfig, T: float) -> Table:
                  comments=comments)
 
 
-def _run_degenerate(config: RunConfig) -> Table:
-    family = load_family(config.input_path)
-    if not config.T_grid:
-        raise DomainError("degenerate needs --T")
-    return _sweep_table(family, config, config.T_grid[0])
+def _run_degenerate(config) -> Table:
+    return _sweep_table(load_family(config.input_path), config)
 
 
-def _run_hecke_sweep(config: RunConfig) -> Table:
+def _run_hecke_sweep(config) -> Table:
     if not config.N_values:
         raise DomainError("hecke-sweep needs --N n1,n2,...")
-    if not config.T_grid:
-        raise DomainError("hecke-sweep needs --T")
-    family = hecke_family(config.N_values)
-    return _sweep_table(family, config, config.T_grid[0])
+    return _sweep_table(hecke_family(config.N_values), config)
 
 
-def _run_count(config: RunConfig) -> Table:
+def _run_count(config) -> Table:
     surface = load_surface(config.input_path)
-    if not config.T_grid:
-        raise DomainError("count needs a T-grid (--T start:stop:count)")
     from .counting import counting_compact
     rows = [[T, config.w,
              counting_compact(surface.small_eigenvalues, config.w, T)]
@@ -273,10 +241,8 @@ def _run_count(config: RunConfig) -> Table:
     return Table(columns=["T", "w", "N"], rows=rows, comments=_comments(config))
 
 
-def _run_zeta(config: RunConfig) -> Table:
+def _run_zeta(config) -> Table:
     surface = load_surface(config.input_path)
-    if not config.s_grid:
-        raise DomainError("zeta needs an s-grid (--s start:stop:count)")
     rows = []
     for re_s in config.s_grid:
         value = zeta_det.surface_zeta(surface, complex(re_s, config.im_s),
@@ -287,10 +253,8 @@ def _run_zeta(config: RunConfig) -> Table:
                  rows=rows, comments=_comments(config))
 
 
-def _run_selberg(config: RunConfig) -> Table:
+def _run_selberg(config) -> Table:
     surface = load_surface(config.input_path)
-    if not config.s_grid:
-        raise DomainError("selberg needs an s-grid (--s start:stop:count)")
     if not surface.length_spectrum:
         raise DomainError("selberg needs a surface with a length spectrum")
     rows = []
@@ -304,7 +268,7 @@ def _run_selberg(config: RunConfig) -> Table:
                  rows=rows, comments=_comments(config))
 
 
-def _run_det(config: RunConfig) -> Table:
+def _run_det(config) -> Table:
     surface = load_surface(config.input_path)
     value = zeta_det.surface_log_det(surface, config.alpha,
                                      tol=max(config.tol * 0.1, 1e-11))
@@ -313,41 +277,13 @@ def _run_det(config: RunConfig) -> Table:
                  comments=_comments(config))
 
 
-_RUNNERS = {
-    "surface": _run_surface,
-    "trace": _run_trace,
-    "degenerate": _run_degenerate,
-    "count": _run_count,
-    "zeta": _run_zeta,
-    "selberg": _run_selberg,
-    "det": _run_det,
-    "hecke-sweep": _run_hecke_sweep,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
+def _orders(spec: str) -> list:
+    """The Hecke orders of --N n1,n2,..., as ints."""
     try:
-        table = _RUNNERS[config.command](config)
-        emit = {"csv": emit_csv, "json": emit_json, "svg": emit_svg}[config.fmt]
-        if config.output_path:
-            with open(config.output_path, "w", encoding="utf-8") as fh:
-                emit(table, fh)
-        else:
-            emit(table, sys.stdout)
-        return EXIT_OK
-    except (ParseError,) as exc:
-        print(f"degenspec: parse error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except QuadratureError as exc:
-        print(f"degenspec: numeric non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except InvariantViolation as exc:
-        print(f"degenspec: invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (DomainError, DegenspecError, OSError) as exc:
-        print(f"degenspec: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return [int(v) for v in spec.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"'{spec}' is not a comma-separated list of integers") from None
 
 
 _T_HELP = ("counting bound T; G is resolved up to T ~ 3e6, and the command "
@@ -363,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="spectral invariants of degenerating hyperbolic surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
+    def add_common(p, runner, needs_input=True):
+        p.set_defaults(runner=runner)
         if needs_input:
             p.add_argument("--surface", "--family", "--input",
                            dest="input_path", required=True,
@@ -374,43 +311,43 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("surface", help="validate and summarize a surface file")
-    add_common(p)
+    add_common(p, _run_surface)
 
     p = sub.add_parser("trace", help="heat-trace components on a t-grid")
-    add_common(p)
+    add_common(p, _run_trace)
     p.add_argument("--t", dest="t_grid", required=True,
                    help="t-grid start:stop:count (log: prefix allowed)")
     p.add_argument("--alpha", type=float, default=None)
 
     p = sub.add_parser("degenerate", help="degenerating counting sweep of a family")
-    add_common(p)
+    add_common(p, _run_degenerate)
     p.add_argument("--T", dest="T", type=float, required=True, help=_T_HELP)
     p.add_argument("--w", type=float, default=0.0)
 
     p = sub.add_parser("count", help="weighted counting function on a T-grid")
-    add_common(p)
+    add_common(p, _run_count)
     p.add_argument("--T", dest="T_grid", required=True)
     p.add_argument("--w", type=float, default=0.0)
 
     p = sub.add_parser("zeta", help="spectral zeta sweep of a surface, term by term")
-    add_common(p)
+    add_common(p, _run_zeta)
     p.add_argument("--s", dest="s_grid", required=True)
     p.add_argument("--im", dest="im_s", type=float, default=0.0)
 
     p = sub.add_parser("selberg", help="Selberg log-derivative sweep")
-    add_common(p)
+    add_common(p, _run_selberg)
     p.add_argument("--s", dest="s_grid", required=True)
     p.add_argument("--im", dest="im_s", type=float, default=0.0)
 
     p = sub.add_parser("det", help="log det of the surface Laplacian in "
                        "closed form; --alpha removes eigenvalues in (0, alpha]")
-    add_common(p)
+    add_common(p, _run_det)
     p.add_argument("--alpha", type=float, default=None)
 
     p = sub.add_parser("hecke-sweep",
                        help="degenerating counting sweep over Hecke orders")
-    add_common(p, needs_input=False)
-    p.add_argument("--N", dest="N_values", required=True,
+    add_common(p, _run_hecke_sweep, needs_input=False)
+    p.add_argument("--N", dest="N_values", type=_orders, required=True,
                    help="comma-separated Hecke orders, e.g. 1000,10000")
     p.add_argument("--T", dest="T", type=float, required=True, help=_T_HELP)
     p.add_argument("--w", type=float, default=0.0)
@@ -418,38 +355,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    kwargs = dict(command=args.command,
-                  input_path=getattr(args, "input_path", None),
-                  output_path=args.output_path, fmt=args.fmt, tol=args.tol)
-    if hasattr(args, "t_grid") and args.t_grid:
-        kwargs["t_grid"] = parse_grid(args.t_grid)
-    if hasattr(args, "T_grid") and args.T_grid:
-        kwargs["T_grid"] = parse_grid(args.T_grid)
-    if hasattr(args, "T") and args.T is not None:
-        kwargs["T_grid"] = [args.T]
-    if hasattr(args, "s_grid") and args.s_grid:
-        kwargs["s_grid"] = parse_grid(args.s_grid)
-    if hasattr(args, "w"):
-        kwargs["w"] = args.w
-    if hasattr(args, "alpha"):
-        kwargs["alpha"] = args.alpha
-    if hasattr(args, "im_s"):
-        kwargs["im_s"] = args.im_s
-    if hasattr(args, "N_values"):
-        kwargs["N_values"] = [int(v) for v in args.N_values.split(",") if v]
-    return RunConfig(**kwargs)
+def _check(config) -> None:
+    """Check tol, and parse the grid arguments in place and check them: the
+    checks that come before any file is read."""
+    if not 0 < config.tol < math.inf:
+        raise DomainError("tolerances must be finite and > 0")
+    for name in ("t_grid", "T_grid", "s_grid"):
+        if hasattr(config, name):
+            grid = parse_grid(getattr(config, name))
+            if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+                raise DomainError("grids must be sorted strictly increasing")
+            setattr(config, name, grid)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; returns the process exit status."""
+    config = _build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
+        _check(config)
     except DomainError as exc:
         print(f"degenspec: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(config)
+    try:
+        table = config.runner(config)
+        emit = {"csv": emit_csv, "json": emit_json, "svg": emit_svg}[config.fmt]
+        if config.output_path:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                emit(table, fh)
+        else:
+            emit(table, sys.stdout)
+        return EXIT_OK
+    except ParseError as exc:
+        print(f"degenspec: parse error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except QuadratureError as exc:
+        print(f"degenspec: numeric non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except InvariantViolation as exc:
+        print(f"degenspec: invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except (DomainError, DegenspecError, OSError) as exc:
+        print(f"degenspec: error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, ModelValidationError
-from .special_fn import as_array_fn, integrate_finite, log_gamma
+from .degeneration import _weighted_interval_integral
+from .special_fn import as_array_fn, log_gamma
 
 __all__ = [
     "ScatteringModel",
@@ -96,23 +97,6 @@ def counting_compact(eigenvalues, w: float, T: float) -> float:
     return float(np.sum((T - kept) ** w))
 
 
-def _weighted_interval_integral(folded: Callable, w: float, T: float,
-                                tol: float) -> float:
-    """int_{-R}^{R} (T - 1/4 - r^2)^w g(r) dr with R = sqrt(T - 1/4), given
-    folded(r) = g(r) + g(-r) (array-native, r >= 0): the integral over
-    [0, R], via r = R sin(theta) which absorbs the endpoint factor
-    cos^{2w+1}, as one tanh-sinh integral on [0, pi/2], whose nodes crowd
-    both ends, r = 0 and the factor's end."""
-    R = math.sqrt(T - 0.25)
-    two_w = 2.0 * w + 1.0
-
-    def integrand(theta: np.ndarray):
-        return R ** two_w * np.cos(theta) ** two_w * folded(R * np.sin(theta))
-
-    res = integrate_finite(integrand, 0.0, 0.5 * math.pi, tol)
-    return float(np.real(res.value))
-
-
 def _fold(g: Callable) -> Callable:
     """r -> g(r) + g(-r) for a caller's g, lifted to arrays."""
     g = as_array_fn(g)
@@ -129,8 +113,9 @@ def counting_noncompact(eigenvalues, p: int, scattering: ScatteringModel,
     - (1/4)(p - Tr Phi(1/2)) (T-1/4)^w
     + p log2 Gamma(w+1)/(sqrt(4pi) Gamma(w+3/2)) (T-1/4)^{w+1/2}.
 
-    For T <= 1/4 the discrete sum alone is returned, independently of the
-    scattering model.
+    Both r-integrals are the one theta-integral of the c_w kernels,
+    degeneration._weighted_interval_integral.  For T <= 1/4 the discrete sum
+    alone is returned, independently of the scattering model.
     """
     if w < 0:
         raise DomainError(f"weight must be >= 0, got {w}")

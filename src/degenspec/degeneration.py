@@ -90,22 +90,21 @@ def elliptic_sum_s(q: int) -> float:
     return total / (2.0 * q)
 
 
-def _kernel_integral(beta: float, w: float, T: float, tol: float) -> float:
-    """int_{-R}^{R} (T - 1/4 - r^2)^w fermi(beta, r) dr via r = R sin(theta),
-    which turns the endpoint factor into cos^{2w+1}(theta), folded onto
-    [0, pi/2] by adding the integrand at theta and -theta: the Fermi
-    weights at r and -r add up to the even fermi_fold, and the fold puts
-    the weight's poles nearest the real axis, at theta ~ +-i/(2R), by the
-    end theta = 0, where the tanh-sinh nodes crowd.  One tanh-sinh
-    integral, two or three integrand calls up to T = 1e5."""
-    if T <= 0.25:
-        return 0.0
+def _weighted_interval_integral(folded: Callable, w: float, T: float,
+                                tol: float) -> float:
+    """int_{-R}^{R} (T - 1/4 - r^2)^w g(r) dr, R = sqrt(T - 1/4) > 0, given
+    folded(r) = g(r) + g(-r) (array-native, r >= 0): the integral over
+    [0, R], via r = R sin(theta), which turns the endpoint factor into
+    cos^{2w+1}(theta), as one tanh-sinh integral on [0, pi/2], whose nodes
+    crowd both ends.  For c_w_kernel's Fermi weights, fermi_fold puts the
+    poles nearest the real axis, at theta ~ +-i/(2R), by theta = 0: two or
+    three integrand calls up to T = 1e5.  counting_noncompact's integrals
+    come here too, so all go through this module's integrate_finite."""
     R = math.sqrt(T - 0.25)
     power = 2.0 * w + 1.0
 
     def integrand(theta: np.ndarray):
-        return R ** power * np.cos(theta) ** power \
-            * fermi_fold(beta, R * np.sin(theta))
+        return R ** power * np.cos(theta) ** power * folded(R * np.sin(theta))
 
     res = integrate_finite(integrand, 0.0, 0.5 * math.pi, tol)
     return float(np.real(res.value))
@@ -127,7 +126,8 @@ def c_w_kernel(kernel: CwKernel, tol: float = 1e-12) -> float:
         return (R ** (2.0 * w + 1.0) * math.exp(math.lgamma(w + 1.0)
                                                - math.lgamma(w + 1.5))
                 / (2.0 * math.sqrt(math.pi)))
-    return _kernel_integral(kernel.beta, kernel.w, kernel.T, tol) / math.pi
+    return _weighted_interval_integral(
+        lambda r: fermi_fold(kernel.beta, r), kernel.w, kernel.T, tol) / math.pi
 
 
 @cache

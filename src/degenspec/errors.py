@@ -81,4 +81,5 @@ class InsufficientSubtractionsError(DomainError):
 
 
 class StripViolationError(DomainError):
-    """Shift parameter outside the strip certified for the continuation stage."""
+    """Shift parameter z outside the half-plane Re z > 0 in which a trace's
+    Laplace-Mellin transform converges."""

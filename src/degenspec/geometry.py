@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, InvariantViolation, ParseError, SignatureError
@@ -32,7 +33,7 @@ INF_ORDER = math.inf
 def _check_order(q) -> float:
     if q == INF_ORDER:
         return INF_ORDER
-    if q != int(q) or q < 2:
+    if not isinstance(q, numbers.Real) or not q >= 2 or q != int(q):
         raise DomainError(f"cone order must be an integer >= 2 or inf, got {q}")
     return int(q)
 
@@ -129,21 +130,23 @@ class SurfaceData:
             raise InvariantViolation(str(exc)) from exc
         object.__setattr__(self, "elliptic_orders", orders)
 
-        degen = tuple(sorted(set(int(i) for i in self.degenerating)))
-        for i in degen:
-            if not 0 <= i < len(orders):
+        for i in self.degenerating:
+            if i not in range(len(orders)):
                 raise InvariantViolation(
                     f"degenerating index {i} outside elliptic_orders range")
+        degen = tuple(sorted(set(int(i) for i in self.degenerating)))
         object.__setattr__(self, "degenerating", degen)
 
         spectrum = []
         for entry in self.length_spectrum:
-            ell, mult = float(entry[0]), int(entry[1])
-            if ell <= 0:
-                raise InvariantViolation(f"geodesic length must be > 0, got {ell}")
-            if mult < 1:
-                raise InvariantViolation(f"multiplicity must be >= 1, got {mult}")
-            spectrum.append((ell, mult))
+            ell, mult = float(entry[0]), entry[1]
+            if not 0 < ell < math.inf:
+                raise InvariantViolation(
+                    f"geodesic length must be finite and > 0, got {ell}")
+            if not (mult >= 1 and float(mult).is_integer()):
+                raise InvariantViolation(
+                    f"multiplicity must be an integer >= 1, got {mult}")
+            spectrum.append((ell, int(mult)))
         spectrum.sort()
         object.__setattr__(self, "length_spectrum", tuple(spectrum))
 
@@ -157,13 +160,13 @@ class SurfaceData:
         if self.cusp_widths is not None:
             widths = tuple(float(w) for w in self.cusp_widths)
             for w in widths:
-                if w <= 0:
+                if not w > 0:
                     raise InvariantViolation(f"cusp width must be > 0, got {w}")
             object.__setattr__(self, "cusp_widths", widths)
 
         gb = gauss_bonnet_volume(self.genus, self.num_cusps, orders)
         if self.volume is not None:
-            if abs(self.volume - gb) > 1e-9 * gb:
+            if not abs(self.volume - gb) <= 1e-9 * gb:
                 raise InvariantViolation(
                     f"volume {self.volume} disagrees with the Gauss-Bonnet "
                     f"value {gb} beyond 1e-9 relative")
@@ -292,6 +295,21 @@ def surface_to_dict(surface: SurfaceData) -> dict:
     return out
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _list_field(data: dict, key: str, of_numbers: bool = True) -> list:
+    """data[key], [] when absent, checked to be a list (of numbers when
+    of_numbers is set); ParseError naming the field otherwise."""
+    values = data.get(key, [])
+    if not isinstance(values, list) or (
+            of_numbers and not all(map(_is_number, values))):
+        raise ParseError(f"field '{key}' must be a list"
+                         + (" of numbers" if of_numbers else ""))
+    return values
+
+
 def surface_from_dict(data: dict) -> SurfaceData:
     if not isinstance(data, dict):
         raise ParseError("surface file must contain a JSON object")
@@ -301,33 +319,55 @@ def surface_from_dict(data: dict) -> SurfaceData:
     for key in ("genus", "cusps"):
         if key not in data:
             raise ParseError(f"missing required field '{key}'")
-        if not isinstance(data[key], int) or data[key] < 0:
+        if type(data[key]) is not int or data[key] < 0:
             raise ParseError(f"field '{key}' must be a nonnegative integer")
     lengths = []
-    for i, entry in enumerate(data.get("lengths", [])):
+    for i, entry in enumerate(_list_field(data, "lengths", False)):
         try:
-            lengths.append((float(entry["l"]), int(entry.get("mult", 1))))
+            ell, mult = entry["l"], entry.get("mult", 1)
         except (TypeError, KeyError) as exc:
             raise ParseError(
                 f"lengths[{i}] must be an object with fields 'l' and 'mult'"
             ) from exc
-    orders = []
-    for i, q in enumerate(data.get("elliptic_orders", [])):
-        if q in ("inf", None):
+        if not (_is_number(ell) and _is_number(mult)):
+            raise ParseError(f"lengths[{i}]: 'l' and 'mult' must be numbers")
+        lengths.append((ell, mult))
+    orders = _list_field(data, "elliptic_orders", False)
+    for i, q in enumerate(orders):
+        if q in ("inf", None) or q == math.inf:
             raise ParseError(f"elliptic_orders[{i}]: infinite orders are cusps;"
                              " use the 'cusps' field")
-        orders.append(q)
+    volume = data.get("volume")
+    if volume is not None and not _is_number(volume):
+        raise ParseError("field 'volume' must be a number")
     return SurfaceData(
         genus=data["genus"],
         num_cusps=data["cusps"],
         elliptic_orders=tuple(orders),
-        degenerating=tuple(data.get("degenerating", [])),
+        degenerating=tuple(_list_field(data, "degenerating")),
         length_spectrum=tuple(lengths),
-        small_eigenvalues=tuple(data.get("small_eigenvalues", [])),
-        cusp_widths=(tuple(data["cusp_widths"])
+        small_eigenvalues=tuple(_list_field(data, "small_eigenvalues")),
+        cusp_widths=(tuple(_list_field(data, "cusp_widths"))
                      if data.get("cusp_widths") is not None else None),
-        volume=data.get("volume"),
+        volume=volume,
     )
+
+
+def _read_json(path):
+    """The parsed contents of the JSON file at path; ParseError when it
+    cannot be read or decoded, naming the line and column of a syntax
+    error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}") from exc
 
 
 def load_surface(path) -> SurfaceData:
@@ -336,16 +376,7 @@ def load_surface(path) -> SurfaceData:
     Raises ParseError with field diagnostics for malformed files and
     InvariantViolation naming the failed invariant for inconsistent data.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
-    return surface_from_dict(data)
+    return surface_from_dict(_read_json(path))
 
 
 def save_surface(surface: SurfaceData, path) -> None:
@@ -356,15 +387,7 @@ def save_surface(surface: SurfaceData, path) -> None:
 
 def load_family(path) -> DegeneratingFamily:
     """Load a degenerating family: {"surface": {...}, "schedule": [[q,...],...]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or "surface" not in data:
         raise ParseError("family file must be an object with a 'surface' field")
     template = surface_from_dict(data["surface"])

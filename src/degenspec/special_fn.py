@@ -186,7 +186,7 @@ def _exp_sinh(f: Callable, decay, tol: float) -> QuadratureResult:
     one-row case with f(u) on a 1-D u.  f is called directly, not through
     as_array_fn, with floating-point warnings ignored.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tolerance must be > 0")
     decay = np.asarray(decay, dtype=float)
     if decay.ndim > 1 or not (decay > 0).all() or not np.isfinite(decay).all():
@@ -238,7 +238,7 @@ def _tanh_sinh(f: Callable, a: float, b: float, tol: float) -> QuadratureResult:
     algebraically, and the rule raises QuadratureError by h = 2^-16.  f is
     called directly on a 1-D array, with floating-point warnings ignored.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise DomainError("tolerance must be > 0")
     if b < a:
         raise DomainError(f"invalid interval: a={a} > b={b}")

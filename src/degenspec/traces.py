@@ -25,19 +25,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import AlphaCollisionError, DomainError, InvariantViolation
+from .errors import AlphaCollisionError, DomainError
 from .geometry import SurfaceData
 from .hplane import _diagonal, heat_kernel_h
 from .special_fn import integrate_semi_infinite
 
 __all__ = [
-    "TraceSeries",
     "fermi_weight",
     "fermi_fold",
     "identity_trace",
@@ -52,46 +50,6 @@ __all__ = [
     "truncated_trace",
     "surface_trace_provider",
 ]
-
-@dataclass(frozen=True)
-class TraceSeries:
-    """Sampled values of a trace function on a strictly increasing t-grid."""
-
-    grid: tuple
-    values: tuple
-    tolerance: float
-
-    def __post_init__(self):
-        grid = tuple(float(t) for t in self.grid)
-        if any(t <= 0 for t in grid):
-            raise InvariantViolation("grid points must be positive")
-        if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-            raise InvariantViolation("grid must be strictly increasing")
-        values = tuple(complex(v) if isinstance(v, complex) else float(v)
-                       for v in self.values)
-        if len(values) != len(grid):
-            raise InvariantViolation("values and grid lengths differ")
-        for v in values:
-            if not np.isfinite(v if not isinstance(v, complex) else abs(v)):
-                raise InvariantViolation("trace values must be finite")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    def rows(self):
-        return [(t, v, self.tolerance) for t, v in zip(self.grid, self.values)]
-
-    def to_csv(self, path) -> None:
-        """Write the series as CSV with header t,value,err."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,value,err\n")
-            for t, v, err in self.rows():
-                fh.write(f"{t!r},{v!r},{err!r}\n")
-
-    @classmethod
-    def from_function(cls, fn: Callable, grid, tolerance: float):
-        return cls(grid=tuple(grid),
-                   values=tuple(fn(float(t)) for t in grid),
-                   tolerance=tolerance)
 
 
 def fermi_weight(beta: float, r: np.ndarray) -> np.ndarray:

@@ -10,14 +10,15 @@ Gamma(s+alpha+j)/Gamma(s); the remainder is one exp-sinh integral over
 (Hurwitz) transform, e^{-zt} in the weight, and the regularized determinant
 exp(-zeta'(0)): 1/Gamma has slope 1 at its zero s = 0, so zeta'(0) is the
 added part's slope, in closed form, plus the remainder integral at s = 0.
-That route serves opaque traces and finite spectra, all set up one way:
-one truncation (_truncation) removes the listed modes lambda <= alpha, and
-one rule (_expansion_terms) gives the subtracted terms.  It is the only
-Mellin integral here: a surface's HTr + ETr go through it too, with their
-exact b_0 (_geodesic_cone_zeta), the error judged in the value's units, so
-that at large |Im s| it raises QuadratureError.  The rest of a surface goes
-term by term (surface_zeta, surface_log_det): the identity term and
-zeta'(0) have exact transforms, so nothing there is fitted.
+That route serves opaque traces, all set up one way: one truncation
+(_truncation) removes the listed modes lambda <= alpha, and one rule
+(_expansion_terms) gives the subtracted terms; a finite spectrum is summed
+directly.  It is the only Mellin integral here: a surface's HTr + ETr go
+through it too, with their exact b_0 (_geodesic_cone_zeta), the error
+judged in the value's units, so that at large |Im s| it raises
+QuadratureError.  The rest of a surface goes term by term (surface_zeta,
+surface_log_det): the identity term and zeta'(0) have exact transforms, so
+nothing there is fitted.
 """
 
 from __future__ import annotations
@@ -432,60 +433,25 @@ def _adjust_terms_for_modes(terms: list, lambdas) -> list:
     return adjusted
 
 
-def _distinct_positive(eigenvalues) -> list:
-    out = []
-    for lam in sorted(float(x) for x in eigenvalues):
-        if lam > 0 and (not out or lam > out[-1] + 1e-12):
-            out.append(lam)
-    return out
-
-
-def hurwitz_zeta(spectral_input, s, z, *, stage: int = 0, c_M: float = 1.0,
+def hurwitz_zeta(spectral_input, s, z, *, c_M: float = 1.0,
                  coefficients=None, n_subtractions: int = 0,
                  tol: float = 1e-12, tail_decay: float = 0.25) -> complex:
     """Shifted zeta sum over lambda > 0 of (z + lambda)^{-s}.
 
-    Finite spectra: stage 0 evaluates the sum directly; stage k >= 1 splits
-    off the eigenvalues up to the k-th distinct positive one and transforms
-    the shifted tail trace, valid for Re(z) > -lambda_k (strip-violation
-    error outside).  Trace providers use the Laplace-Mellin transform and
-    require Re(z) > 0 (continuation proceeds in s at fixed z).
+    Finite spectra: the sum itself.  Trace providers: the Laplace-Mellin
+    transform, continued in s at fixed z, which needs Re(z) > 0 (or z = 0);
+    StripViolationError outside.
     """
     s, z = complex(s), complex(z)
     if callable(spectral_input):
-        if stage != 0:
-            raise StripViolationError(
-                "trace input supports only stage 0 (Re(z) > 0)")
         if z.real <= 0 and z != 0:
             raise StripViolationError(f"trace input needs Re(z) > 0, got {z}")
         terms = _expansion_terms(spectral_input, coefficients, n_subtractions)
         return complex(_continued_mellin(spectral_input, s, terms, c_M, tol,
                                          tail_decay, z=z)[0])
-
-    lams = [float(x) for x in spectral_input]
-    positive = [lam for lam in lams if lam > 0]
-    if stage == 0:
-        return complex(sum(np.exp(-s * np.log(complex(z + lam)))
-                           for lam in positive))
-    distinct = _distinct_positive(lams)
-    if stage > len(distinct):
-        raise StripViolationError(
-            f"stage {stage} exceeds the {len(distinct)} distinct positive "
-            "eigenvalues available")
-    shift = distinct[stage - 1]
-    if z.real <= -shift:
-        raise StripViolationError(
-            f"stage {stage} certifies Re(z) > {-shift}, got Re(z) = {z.real}")
-    head = sum(np.exp(-s * np.log(complex(z + lam)))
-               for lam in positive if lam <= shift + 1e-12)
-    tail_lams = [lam for lam in positive if lam > shift + 1e-12]
-    if not tail_lams:
-        return complex(head)
-    gaps = np.asarray([lam - shift for lam in tail_lams])
-    value, _ = _continued_mellin(
-        lambda t: np.exp(-np.multiply.outer(t, gaps)).sum(axis=-1), s, [],
-        0.0, tol, tail_decay=float(gaps.min()), z=z + shift)
-    return complex(head + value)
+    positive = [lam for lam in map(float, spectral_input) if lam > 0]
+    return complex(sum(np.exp(-s * np.log(complex(z + lam)))
+                       for lam in positive))
 
 
 def _truncation(trace: Callable, small_eigenvalues, alpha: float) -> tuple:

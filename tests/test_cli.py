@@ -5,6 +5,7 @@ direct library calls for the trace and selberg tables; the mpmath
 r-integrals and Selberg product of mp_reference for the zeta and det tables.
 """
 
+import argparse
 import json
 import math
 
@@ -97,6 +98,36 @@ def test_malformed_grid_is_a_config_error(capsys):
     argv = ["trace", "--surface", "unused.json", "--t", "1:2"]
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert "not start:stop:count" in capsys.readouterr().err
+
+
+def test_empty_grid_is_a_config_error_naming_it(capsys):
+    argv = ["trace", "--surface", "unused.json", "--t", ""]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "degenspec: config error: grid '' is not start:stop:count\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-12"])
+def test_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
+    # checked before the surface file is read
+    argv = ["det", "--surface", str(tmp_path / "unread.json"), f"--tol={tol}"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "degenspec: config error: tolerances must be finite and > 0\n")
+
+
+def test_orders_that_are_not_integers_are_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hecke-sweep", "--N", "100,abc", "--T", "5"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert ("argument --N: '100,abc' is not a comma-separated list of "
+            "integers") in capsys.readouterr().err
+
+
+def test_commands_are_the_parser_subcommands():
+    (sub,) = [action for action in cli._build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert tuple(sub.choices) == cli.COMMANDS
 
 
 @pytest.fixture(params=["compact_surface", "bare_surface"])
@@ -226,6 +257,13 @@ def test_invalid_json_names_line_and_column(tmp_path, capsys):
     assert "invalid JSON at line 3, column 3" in err
 
 
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_bytes(b'\xff{"genus": 2, "cusps": 0}')
+    err = _parse_error(["det", "--surface", str(path)], capsys)
+    assert "not UTF-8 text: invalid start byte" in err
+
+
 def test_unknown_surface_field_is_named(compact_surface, tmp_path, capsys):
     path = tmp_path / "surface.json"
     save_surface(compact_surface, path)
@@ -234,6 +272,53 @@ def test_unknown_surface_field_is_named(compact_surface, tmp_path, capsys):
     path.write_text(json.dumps(data))
     err = _parse_error(["det", "--surface", str(path)], capsys)
     assert "unknown surface fields: ['colour']" in err
+
+
+# surface files whose values are of the wrong type or out of range; each
+# once ended in a traceback or in a silently truncated value
+MALFORMED_VALUES = [
+    ('"cusps": 1, "elliptic_orders": [2, 3, Infinity]',
+     "elliptic_orders[2]: infinite orders are cusps; use the 'cusps' field"),
+    ('"cusps": 1, "elliptic_orders": [2, 3, 1e999]',
+     "elliptic_orders[2]: infinite orders are cusps; use the 'cusps' field"),
+    ('"cusps": 0, "lengths": [{"l": "abc"}]',
+     "lengths[0]: 'l' and 'mult' must be numbers"),
+    ('"cusps": 0, "small_eigenvalues": ["x"]',
+     "field 'small_eigenvalues' must be a list of numbers"),
+    ('"cusps": 0, "lengths": 5', "field 'lengths' must be a list"),
+    ('"cusps": 0, "volume": "x"', "field 'volume' must be a number"),
+    ('"cusps": true', "field 'cusps' must be a nonnegative integer"),
+]
+OUT_OF_RANGE_VALUES = [
+    ('"cusps": 1, "elliptic_orders": [2, 3, NaN]',
+     "cone order must be an integer >= 2 or inf, got nan"),
+    ('"cusps": 0, "lengths": [{"l": NaN}]',
+     "geodesic length must be finite and > 0, got nan"),
+    ('"cusps": 0, "lengths": [{"l": 1.0, "mult": 1.7}]',
+     "multiplicity must be an integer >= 1, got 1.7"),
+    ('"cusps": 1, "elliptic_orders": [2, 3, 7], "degenerating": [1.5]',
+     "degenerating index 1.5 outside elliptic_orders range"),
+    ('"cusps": 1, "elliptic_orders": [2, 3, 7], "cusp_widths": [NaN]',
+     "cusp width must be > 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED_VALUES)
+def test_malformed_surface_value_is_a_parse_error(fields, message, tmp_path,
+                                                  capsys):
+    path = tmp_path / "surface.json"
+    path.write_text('{"genus": 2, ' + fields + "}")
+    assert message in _parse_error(["surface", "--surface", str(path)], capsys)
+
+
+@pytest.mark.parametrize("fields, message", OUT_OF_RANGE_VALUES)
+def test_out_of_range_surface_value_is_an_invariant_violation(
+        fields, message, tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text('{"genus": 2, ' + fields + "}")
+    assert cli.main(["surface", "--surface", str(path)]) == cli.EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        f"degenspec: invariant violation: {message}\n")
 
 
 def test_unreadable_path_is_a_parse_error(tmp_path, capsys):

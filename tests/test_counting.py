@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from degenspec import degeneration
 from degenspec.counting import (ScatteringModel, counting_compact,
                                 counting_noncompact)
+from degenspec.degeneration import CwKernel, c_w_kernel
 from degenspec.errors import DomainError, ModelValidationError
 
 
@@ -174,3 +176,19 @@ def test_folded_tanh_sinh_keeps_the_gauss_kronrod_values(model, p, w, T,
                                                          value):
     assert abs(counting_noncompact([0.0, 0.3], p, MODELS[model](), w, T)
                - value) <= 1e-12
+
+
+def test_integrals_go_through_the_degeneration_binding(monkeypatch):
+    # the scattering and digamma integrals are the theta-integral of the c_w
+    # kernels, so a wrapper of degeneration.integrate_finite sees all three
+    intervals = []
+    engine = degeneration.integrate_finite
+
+    def spy(f, a, b, tol):
+        intervals.append((a, b))
+        return engine(f, a, b, tol)
+
+    monkeypatch.setattr(degeneration, "integrate_finite", spy)
+    counting_noncompact([0.0, 0.3], 1, MODELS["hat"](), 1.0, 50.0)
+    c_w_kernel(CwKernel(T=50.0, w=1.0, beta=0.3))
+    assert intervals == [(0.0, 0.5 * math.pi)] * 3

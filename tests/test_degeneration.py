@@ -13,8 +13,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
-from degenspec.degeneration import (CwKernel, SlopeFit, _kernel_integral,
-                                    c_w_kernel, elliptic_sum_s, error_term_experiment,
+from degenspec.degeneration import (CwKernel, SlopeFit,
+                                    _weighted_interval_integral, c_w_kernel,
+                                    elliptic_sum_s, error_term_experiment,
                                     fit_slope_vs_logQ, g_degenerating_counting)
 from degenspec import degeneration, traces
 from degenspec.errors import DomainError, FitError
@@ -84,7 +85,9 @@ class TestCwKernel:
     @pytest.mark.parametrize("w", [0.0, 0.5, 1.0, 2.0])
     def test_closed_form_at_beta_zero(self, T, w):
         # the closed form against the quadrature that beta > 0 uses
-        quadrature = _kernel_integral(0.0, w, T, 1e-12 * (T - 0.25) ** (w + 0.5))
+        quadrature = _weighted_interval_integral(
+            lambda r: traces.fermi_fold(0.0, r), w, T,
+            1e-12 * (T - 0.25) ** (w + 0.5))
         assert c_w_kernel(CwKernel(T=T, w=w)) == pytest.approx(
             quadrature / math.pi, rel=1e-13)
 

@@ -154,6 +154,8 @@ class TestIntegrateExpSinh:
             integrate_semi_infinite(lambda t: np.exp(-t), decay=-1.0)
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda t: np.exp(-t), tol=0.0)
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(lambda t: np.exp(-t), tol=math.nan)
 
     def test_bit_identical_repeats(self):
         # a batch of rows repeats bit for bit, as one integral does
@@ -479,6 +481,8 @@ class TestIntegrateTanhSinh:
             integrate_finite(np.exp, 1.0, 0.0, 1e-10)
         with pytest.raises(DomainError):
             integrate_finite(np.exp, 0.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            integrate_finite(np.exp, 0.0, 1.0, math.nan)
 
 
 def test_tanh_sinh_tables_are_read_only():

@@ -13,19 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from degenspec.errors import (AlphaCollisionError, DomainError,
-                              InvariantViolation)
+from degenspec.errors import AlphaCollisionError, DomainError
 from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.hplane import heat_kernel_h
 from degenspec import traces
 from degenspec.special_fn import as_array_fn, integrate_semi_infinite
-from degenspec.traces import (TraceSeries, _cone_series, cone_integral,
-                              degenerating_trace, elliptic_trace_r,
-                              elliptic_trace_u, fermi_fold, fermi_weight,
-                              geodesic_sum, hyperbolic_sum_reduced,
-                              hyperbolic_trace, identity_trace,
-                              standard_trace, surface_trace_provider,
-                              truncated_trace)
+from degenspec.traces import (_cone_series, cone_integral, degenerating_trace,
+                              elliptic_trace_r, elliptic_trace_u, fermi_fold,
+                              fermi_weight, geodesic_sum,
+                              hyperbolic_sum_reduced, hyperbolic_trace,
+                              identity_trace, standard_trace,
+                              surface_trace_provider, truncated_trace)
 
 
 def brute_hyperbolic(spectrum, t):
@@ -399,29 +397,6 @@ class TestDegenerationMonitors:
             vals = [t ** 1.5 * abs(self._difference(member, t))
                     for t in np.geomspace(1e-4, 0.5, 8)]
             assert max(vals) < 1.0
-
-
-class TestTraceSeries:
-    def test_validation(self):
-        with pytest.raises(InvariantViolation):
-            TraceSeries(grid=(1.0, 0.5), values=(1.0, 2.0), tolerance=1e-9)
-        with pytest.raises(InvariantViolation):
-            TraceSeries(grid=(0.5, 1.0), values=(1.0, math.nan), tolerance=1e-9)
-
-    def test_csv_export(self, tmp_path):
-        series = TraceSeries(grid=(0.5, 1.0), values=(2.0, 1.0),
-                             tolerance=1e-9)
-        path = tmp_path / "series.csv"
-        series.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,value,err"
-        assert len(lines) == 3
-        assert lines[1].startswith("0.5,2.0,")
-
-    def test_from_function(self):
-        series = TraceSeries.from_function(lambda t: t * t, (0.5, 1.0, 2.0),
-                                           1e-8)
-        assert series.values == (0.25, 1.0, 4.0)
 
 
 class TestFermiWeight:

@@ -191,8 +191,8 @@ def _run_trace(config) -> Table:
     # each column is one call over the whole grid
     grid = np.asarray(config.t_grid, dtype=float)
     htr = traces.hyperbolic_trace(surface.length_spectrum, grid)
-    etr = traces.elliptic_trace_u(surface.elliptic_orders, grid, config.tol)
-    dtr = traces.elliptic_trace_u(surface.degenerating_orders, grid, config.tol)
+    etr = traces.elliptic_trace(surface.elliptic_orders, grid, config.tol)
+    dtr = traces.elliptic_trace(surface.degenerating_orders, grid, config.tol)
     strace = htr + etr + traces.identity_trace(surface.volume, grid, config.tol)
     if alpha is not None:
         strace -= [traces.removed_modes(surface, alpha, t) for t in grid]

@@ -218,7 +218,10 @@ class DegeneratingFamily:
             raise InvariantViolation("template has no degenerating cones")
         rows = []
         for entry in self.schedule:
-            row = tuple(_check_order(q) for q in entry)
+            try:
+                row = tuple(_check_order(q) for q in entry)
+            except DomainError as exc:
+                raise InvariantViolation(str(exc)) from exc
             if len(row) != m:
                 raise InvariantViolation(
                     f"schedule entry {entry} has {len(row)} orders, expected {m}")
@@ -356,7 +359,8 @@ def surface_from_dict(data: dict) -> SurfaceData:
 def _read_json(path):
     """The parsed contents of the JSON file at path; ParseError when it
     cannot be read or decoded, naming the line and column of a syntax
-    error."""
+    error, or when its nesting is deeper than the parser's recursion
+    limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -368,6 +372,8 @@ def _read_json(path):
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def load_surface(path) -> SurfaceData:

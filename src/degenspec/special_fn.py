@@ -11,10 +11,12 @@ one array call of the integrand, the new nodes of levels 1-4 one more, and
 each later level one more; the nodes are tabulated once per level and map
 (_de_level, _ts_level), and the look-ahead windows once per window
 (_de_nodes).  exp-sinh serves every half-line integral of the package, all
-analytic in a strip: the cone integrals, the plane kernel off the diagonal
-and, at complex time only, on it (real time has a closed form there), the
-r-form of ETr, the Selberg heat-trace integral and the one Mellin integral
-of `zeta_det`, for opaque traces and surfaces alike.  An array of decay
+analytic in a strip: the cone integrals (the u-form of ETr among them), the
+plane kernel off the diagonal and, at complex time only, on it (real time
+has a closed form there), the Selberg heat-trace integral and the one
+Mellin integral of `zeta_det`, for opaque traces and surfaces alike.  The
+r-form of ETr is a closed-form erfcx series (traces.elliptic_trace_r) and
+makes no quadrature call.  An array of decay
 rates batches a family of such integrals, one row per entry (the
 heat-trace terms at every t of a grid or of a Mellin panel): each call is
 then on a (rows, nodes) array.  tanh-sinh serves the two theta-integrals

@@ -69,6 +69,37 @@ def mp_plane_kernel_diagonal(t, dps=30):
         return +(mp.exp(-t / 4) * value / (2 * mp.pi))
 
 
+def mp_elliptic_trace(orders, t, dps=20):
+    """ETr(t) = e^{-t/4} sqrt(pi/t) sum over orders q and n < q of
+    (2 q sin(n pi/q))^{-1} sum_{m>=0} (-1)^m erfcx(pi (m + n/q)/sqrt t), an
+    mpf good to about dps digits.  erfcx is e^{x^2} erfc(x) in mpmath, at
+    dps digits plus those e^{x^2} loses to the rounding of x^2, and each
+    m-series is summed by the Cohen-Rodriguez Villegas-Zagier recurrence
+    run in mpmath, with N terms for a bound 2 (3 + sqrt 8)^-N of the sum
+    below 10^-dps."""
+    terms = int(dps / math.log10(3 + math.sqrt(8))) + 2
+    guard = int(math.log10(1 + (math.pi * terms) ** 2 / t)) + 1
+    with mp.workdps(dps + guard):
+        t = mp.mpf(t)
+        a = mp.pi / mp.sqrt(t)
+        root = 3 + mp.sqrt(8)
+        d = (root ** terms + root ** -terms) / 2
+        b, c, weights = mp.mpf(-1), -d, []
+        for k in range(terms):
+            c = b - c
+            weights.append(c / d)
+            b = (k + terms) * (k - terms) * b / ((k + mp.mpf(1) / 2) * (k + 1))
+
+        def alternating(beta):
+            xs = [a * (k + beta) for k in range(terms)]
+            return mp.fsum(w * mp.exp(x * x) * mp.erfc(x)
+                           for w, x in zip(weights, xs))
+
+        total = mp.fsum(alternating(mp.mpf(n) / q) / (2 * q * mp.sin(n * mp.pi / q))
+                        for q in orders for n in range(1, q))
+        return +(mp.exp(-t / 4) * mp.sqrt(mp.pi / t) * total)
+
+
 def mp_identity_zeta(vol, s):
     """(vol/2pi) int_0^inf (1/4 + r^2)^{-s} r tanh(pi r) dr, continued: with
     tanh = 1 - 2/(e^{2 pi r} + 1) the first part is (1/4)^{1-s}/(2(s - 1))

@@ -264,6 +264,14 @@ def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     assert "not UTF-8 text: invalid start byte" in err
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "surface.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    err = _parse_error(["det", "--surface", str(path)], capsys)
+    assert err == (f"degenspec: parse error: {path}: JSON nested too deeply "
+                   "to read\n")
+
+
 def test_unknown_surface_field_is_named(compact_surface, tmp_path, capsys):
     path = tmp_path / "surface.json"
     save_surface(compact_surface, path)
@@ -319,6 +327,19 @@ def test_out_of_range_surface_value_is_an_invariant_violation(
     assert cli.main(["surface", "--surface", str(path)]) == cli.EXIT_INVARIANT
     assert capsys.readouterr().err == (
         f"degenspec: invariant violation: {message}\n")
+
+
+def test_bad_schedule_order_is_an_invariant_violation(tmp_path, capsys):
+    # the same exit as a bad order in a surface file
+    path = tmp_path / "family.json"
+    path.write_text('{"surface": {"genus": 0, "cusps": 1, '
+                    '"elliptic_orders": [2, 3, 7], "degenerating": [2]}, '
+                    '"schedule": [[7], [NaN], [100]]}')
+    argv = ["degenerate", "--family", str(path), "--T", "5"]
+    assert cli.main(argv) == cli.EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "degenspec: invariant violation: cone order must be an integer >= 2 "
+        "or inf, got nan\n")
 
 
 def test_unreadable_path_is_a_parse_error(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Heat-trace components and the trace formula's geometric side.
 
 Oracles: brute-force (geodesic, n) summation, scipy.integrate.quad on the
-defining integrals, and the exact algebraic reduction of the order-2
-elliptic integrand to a sech profile.
+defining integrals, mpmath (tests/mp_reference.py), and the exact algebraic
+reduction of the order-2 elliptic integrand to a sech profile.
 """
 
 import math
@@ -13,13 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from mp_reference import mp_elliptic_trace
+
+from degenspec import cli, special_fn
 from degenspec.errors import AlphaCollisionError, DomainError
-from degenspec.geometry import DegeneratingFamily, SurfaceData
+from degenspec.geometry import DegeneratingFamily, SurfaceData, save_surface
 from degenspec.hplane import heat_kernel_h
 from degenspec import traces
 from degenspec.special_fn import as_array_fn, integrate_semi_infinite
 from degenspec.traces import (_cone_series, cone_integral, degenerating_trace,
-                              elliptic_trace_r, elliptic_trace_u, fermi_fold,
+                              elliptic_trace, elliptic_trace_r,
+                              elliptic_trace_u, fermi_fold,
                               fermi_weight, geodesic_sum,
                               hyperbolic_sum_reduced, hyperbolic_trace,
                               identity_trace, standard_trace,
@@ -136,10 +140,35 @@ class TestEllipticTraces:
     @pytest.mark.parametrize("q", [2, 3, 5, 12, 50])
     @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0])
     def test_dual_representation(self, q, t):
-        # the u-route against the per-n r-route, one exp-sinh integral per n
+        # the u-route, one exp-sinh integral, against the r-route's erfcx
+        # series: the two share no quadrature
         u = elliptic_trace_u([q], t)
         r = elliptic_trace_r([q], t)
-        assert u == pytest.approx(r, rel=1e-13)
+        assert u == pytest.approx(r, rel=2e-15)
+
+    @pytest.mark.parametrize("orders", [(2,), (3,), (2, 3), (7,), (2, 3, 50),
+                                        (64,)])
+    def test_series_against_mpmath(self, orders):
+        # past t = 10 the alternating m-sums lose digits as pi/sqrt(t)
+        # falls: dense scans at q = 2 reach 1.8e-15 on [10, 30] and 8e-15
+        # near t = 1000
+        for t in np.geomspace(1e-10, 2975.0, 25):
+            exact = mp_elliptic_trace(orders, t)
+            if exact < 1e-300:  # e^{-t/4} in the subnormal range
+                continue
+            error = abs((mp.mpf(elliptic_trace_r(orders, float(t))) - exact)
+                        / exact)
+            assert error <= (2e-15 if t <= 10.0 else 1e-14), t
+
+    @pytest.mark.parametrize("orders", [(2, 3, 7), (2, 3, 100)])
+    def test_series_entries_equal_the_scalar_calls(self, orders):
+        # 150 entries make three blocks of rows, and (2, 3, 100) two blocks
+        # of (q, n) terms
+        times = np.geomspace(1e-10, 3000.0, 150).reshape(10, 15)
+        batch = elliptic_trace_r(orders, times)
+        assert batch.shape == times.shape
+        assert batch.tolist() == [[elliptic_trace_r(orders, t) for t in row]
+                                  for row in times.tolist()]
 
     def test_long_time_decay(self):
         t = 50.0
@@ -210,8 +239,9 @@ class TestEllipticTraces:
     @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 10.0])
     def test_mixed_orders_additive(self, t):
         orders = (2, 3, 3, 7, 50)
-        parts = math.fsum(elliptic_trace_u([q], t) for q in orders)
-        assert elliptic_trace_u(orders, t) == pytest.approx(parts, rel=1e-14)
+        for route in (elliptic_trace_u, elliptic_trace_r):
+            parts = math.fsum(route([q], t) for q in orders)
+            assert route(orders, t) == pytest.approx(parts, rel=1e-14)
 
     def _mp_single_order(self, q, t):
         """ETr of one cone of order q by mpmath quadrature of the u-form."""
@@ -267,11 +297,82 @@ class TestEllipticTraces:
     def test_tiny_time_limit(self, orders, t):
         # ETr -> b_0 = sum (q^2 - 1)/(12 q) as t -> 0, with an O(t) remainder
         b0 = math.fsum((q * q - 1) / (12.0 * q) for q in orders)
-        assert elliptic_trace_u(orders, t) == pytest.approx(b0, rel=1e-11)
+        for route in (elliptic_trace_u, elliptic_trace_r):
+            assert route(orders, t) == pytest.approx(b0, rel=1e-11)
 
     def test_order_validation(self):
+        for route in (elliptic_trace_u, elliptic_trace_r, elliptic_trace):
+            with pytest.raises(DomainError):
+                route([1], 1.0)
+            with pytest.raises(DomainError):
+                route([2, 3, 1], np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("route", [elliptic_trace_u, elliptic_trace_r,
+                                       elliptic_trace])
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_tolerance_must_be_positive(self, route, tol):
         with pytest.raises(DomainError):
-            elliptic_trace_u([1], 1.0)
+            route([2, 3], 1.0, tol)
+
+
+class TestEllipticRoute:
+    """elliptic_trace takes the closed-form series while sum (q - 1) <= 64
+    and the u-integral above; elliptic_trace_u is the u-integral for every
+    order."""
+
+    @pytest.fixture
+    def de_calls(self, monkeypatch):
+        """The DE rules run, by name, in the order they ran."""
+        calls = []
+        for name in ("_exp_sinh", "_tanh_sinh"):
+            def spy(*args, _inner=getattr(special_fn, name), _name=name):
+                calls.append(_name)
+                return _inner(*args)
+
+            monkeypatch.setattr(special_fn, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("orders,per_call", [((2, 64), []),
+                                                 ((2, 65), ["_exp_sinh"])])
+    def test_str_dtr_and_cli_trace(self, orders, per_call, de_calls,
+                                   tmp_path, capsys):
+        # sum (q - 1) is 64, the switch, and 65, just above it
+        surface = SurfaceData(genus=2, num_cusps=0, elliptic_orders=orders,
+                              degenerating=(0, 1),
+                              length_spectrum=((1.0, 1),))
+        times = np.geomspace(1e-3, 10.0, 5)
+        for call in (lambda: standard_trace(surface, 0.5),
+                     lambda: standard_trace(surface, times),
+                     lambda: degenerating_trace(surface, 0.5),
+                     lambda: degenerating_trace(surface, times)):
+            de_calls.clear()
+            call()
+            assert de_calls == per_call
+        path = tmp_path / "surface.json"
+        save_surface(surface, path)
+        de_calls.clear()
+        assert cli.main(["trace", "--surface", str(path), "--t",
+                         "log:0.01:10:5", "--tol", "1e-12"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert de_calls == 2 * per_call  # the ETr and DTr columns
+
+    @pytest.mark.parametrize("orders", [(2,), (2, 3), (2, 64), (2, 65),
+                                        (1000,)])
+    def test_u_integral_for_every_order(self, orders, de_calls):
+        for t in (0.5, np.geomspace(1e-3, 10.0, 5)):
+            de_calls.clear()
+            elliptic_trace_u(orders, t)
+            assert de_calls == ["_exp_sinh"]
+
+    @pytest.mark.parametrize("orders", [(2, 3), (2, 64), (2, 65)])
+    def test_selector_equals_the_route_it_takes(self, orders):
+        # repeated orders count once: (64, 64) has 63 terms
+        times = np.geomspace(1e-3, 10.0, 5)
+        route = elliptic_trace_r if sum(q - 1 for q in orders) <= 64 \
+            else elliptic_trace_u
+        assert elliptic_trace(orders, times).tolist() == \
+            route(orders, times).tolist()
+        assert elliptic_trace((64, 64), 0.5) == elliptic_trace_r((64, 64), 0.5)
 
 
 class TestDegeneratingTrace:
@@ -454,6 +555,7 @@ class TestBatchedTimes:
         lambda t: hyperbolic_trace(((1.0, 1),), t),
         lambda t: standard_trace(SurfaceData(genus=2, num_cusps=0,
                                              elliptic_orders=(2, 3)), t),
+        lambda t: elliptic_trace_r((2, 3), t),
     ])
     def test_shape_contract(self, fn):
         assert isinstance(fn(0.5), float)
@@ -467,8 +569,8 @@ class TestBatchedTimes:
             fn(np.array([0.5, 0.0]))
 
     def test_empty_orders_give_zeros(self):
-        assert np.array_equal(elliptic_trace_u((), np.array([0.1, 1.0])),
-                              [0.0, 0.0])
+        for route in (elliptic_trace_u, elliptic_trace_r):
+            assert np.array_equal(route((), np.array([0.1, 1.0])), [0.0, 0.0])
 
     def test_provider_takes_an_array_in_one_call(self, compact_surface,
                                                  monkeypatch):

@@ -236,14 +236,12 @@ def g_degenerating_counting(surface: SurfaceData, w: float, T: float,
     return cone_integral(surface.degenerating_orders, hhat, 0.5, tol)
 
 
-def fit_slope_vs_logQ(family: DegeneratingFamily, quantity: Callable,
-                      drop_smallest: bool = False) -> SlopeFit:
+def fit_slope_vs_logQ(family: DegeneratingFamily,
+                      quantity: Callable) -> SlopeFit:
     """Unweighted least-squares fit of quantity(member) against
     log(prod q_gamma) over the schedule."""
     xs = family.log_products()
     ys = [quantity(m) for m in family.members()]
-    if drop_smallest:
-        xs, ys = xs[1:], ys[1:]
     if len(xs) < 3:
         raise FitError(f"need at least 3 points for a slope fit, have {len(xs)}")
     if any(b <= a for a, b in zip(xs[:-1], xs[1:])):

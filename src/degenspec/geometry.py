@@ -1,4 +1,4 @@
-"""Surface data model, closed-form cone geometry, and degenerating families.
+"""Surface data model, orbifold volume, and degenerating families.
 
 A surface is described by its signature (genus, cusps, elliptic orders), a
 sorted length spectrum, a list of small eigenvalues below 1/4, and the subset
@@ -18,9 +18,6 @@ from .errors import DomainError, InvariantViolation, ParseError, SignatureError
 __all__ = [
     "SurfaceData",
     "DegeneratingFamily",
-    "cone_volume",
-    "cone_boundary_length",
-    "cone_annulus_distance",
     "gauss_bonnet_volume",
     "hecke_family",
     "load_surface",
@@ -36,54 +33,6 @@ def _check_order(q) -> float:
     if not isinstance(q, numbers.Real) or not q >= 2 or q != int(q):
         raise DomainError(f"cone order must be an integer >= 2 or inf, got {q}")
     return int(q)
-
-
-def cone_volume(q, eps: float) -> float:
-    """Volume of the truncated cone of order q and area parameter eps.
-
-    vol(C_{q,eps}) = eps for finite q; the cusp neighborhood C_{inf,eps}
-    has volume eps/2.
-    """
-    if not eps > 0:
-        raise DomainError(f"eps must be > 0, got {eps}")
-    q = _check_order(q)
-    return eps / 2.0 if q == INF_ORDER else float(eps)
-
-
-def cone_boundary_length(q, eps: float) -> float:
-    """Boundary length of the truncated cone: sqrt(4 pi eps/q + eps^2) for
-    finite q, and eps/2 for the cusp neighborhood."""
-    if not eps > 0:
-        raise DomainError(f"eps must be > 0, got {eps}")
-    q = _check_order(q)
-    if q == INF_ORDER:
-        return eps / 2.0
-    return math.sqrt(4.0 * math.pi * eps / q + eps * eps)
-
-
-def cone_annulus_distance(q, eps1: float, eps2: float) -> float:
-    """Hyperbolic distance between the boundaries of the nested truncated
-    cones C_{q,eps1} inside C_{q,eps2}.
-
-    The closed form is a log ratio, so distances over nested triples add
-    exactly.  q is treated as a formal positive parameter here; for the cusp
-    (q = inf) the limit log(eps2/eps1) is returned.
-    """
-    if eps1 <= 0 or eps2 <= 0:
-        raise DomainError("eps values must be > 0")
-    if eps1 > eps2:
-        raise DomainError(f"require eps1 <= eps2, got {eps1} > {eps2}")
-    if eps1 == eps2:
-        return 0.0
-    if q == INF_ORDER:
-        return math.log(eps2 / eps1)
-    if not q > 0:
-        raise DomainError(f"q must be positive, got {q}")
-
-    def edge(e: float) -> float:
-        return e * q + 2.0 * math.pi + math.sqrt(e * q * (4.0 * math.pi + e * q))
-
-    return math.log(edge(eps2) / edge(eps1))
 
 
 def gauss_bonnet_volume(genus: int, cusps: int, orders) -> float:
@@ -252,13 +201,11 @@ class DegeneratingFamily:
 HECKE_ARITHMETIC = (3, 4, 6)
 
 
-def hecke_family(N_list, standard_signature: bool = False) -> DegeneratingFamily:
-    """Degenerating family modeled on the Hecke triangle groups G_N.
-
-    The default signature is genus zero, one cusp, elliptic orders (2, 3, N)
-    with the N-cone degenerating.  standard_signature=True uses the (2, N)
-    signature instead, whose N=3 volume is pi/3.  Length spectra and small
-    eigenvalues are left empty: they are group data, not signature data.
+def hecke_family(N_list) -> DegeneratingFamily:
+    """Degenerating family of the Hecke groups G_N = Z/2 * Z/N: genus zero,
+    one cusp, elliptic orders (2, N) with the N-cone degenerating, volume
+    pi (N - 2)/N.  Length spectra and small eigenvalues are left empty:
+    they are group data, not signature data.
     """
     Ns = [int(N) for N in N_list]
     if not Ns:
@@ -266,14 +213,8 @@ def hecke_family(N_list, standard_signature: bool = False) -> DegeneratingFamily
     for N in Ns:
         if N < 3:
             raise DomainError(f"Hecke order must be >= 3, got {N}")
-    if standard_signature:
-        orders = (2, Ns[0])
-        degen = (1,)
-    else:
-        orders = (2, 3, Ns[0])
-        degen = (2,)
-    template = SurfaceData(genus=0, num_cusps=1, elliptic_orders=orders,
-                           degenerating=degen)
+    template = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, Ns[0]),
+                           degenerating=(1,))
     return DegeneratingFamily(template=template,
                               schedule=tuple((N,) for N in Ns))
 

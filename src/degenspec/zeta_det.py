@@ -10,15 +10,15 @@ Gamma(s+alpha+j)/Gamma(s); the remainder is one exp-sinh integral over
 (Hurwitz) transform, e^{-zt} in the weight, and the regularized determinant
 exp(-zeta'(0)): 1/Gamma has slope 1 at its zero s = 0, so zeta'(0) is the
 added part's slope, in closed form, plus the remainder integral at s = 0.
-That route serves opaque traces, all set up one way: one truncation
-(_truncation) removes the listed modes lambda <= alpha, and one rule
-(_expansion_terms) gives the subtracted terms; a finite spectrum is summed
-directly.  It is the only Mellin integral here: a surface's HTr + ETr go
-through it too, with their exact b_0 (_geodesic_cone_zeta), the error
-judged in the value's units, so that at large |Im s| it raises
-QuadratureError.  The rest of a surface goes term by term (surface_zeta,
-surface_log_det): the identity term and zeta'(0) have exact transforms, so
-nothing there is fitted.
+That route serves opaque traces, all set up one way (_opaque): the trace
+is lifted to arrays once, the listed modes lambda <= alpha are taken out,
+and the subtracted terms are read from the supplied coefficients or a
+heat_coefficients fit; a finite spectrum is summed directly.  It is the only
+Mellin integral here: a surface's HTr + ETr go through it too, with their
+exact b_0 (_geodesic_cone_zeta), the error judged in the value's units, so
+that at large |Im s| it raises QuadratureError.  The rest of a surface goes
+term by term (surface_zeta, surface_log_det): the identity term and
+zeta'(0) have exact transforms, so nothing there is fitted.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .traces import (_cone_series, _removed_eigenvalues, elliptic_trace_u,
                      geodesic_sum, hyperbolic_trace)
 
 __all__ = [
-    "HeatCoefficients",
     "ZetaEvaluation",
     "spectral_zeta_series",
     "spectral_zeta_mellin",
@@ -72,22 +71,6 @@ _ZETA_PRIME_MINUS_ONE = -0.16542114370045092921
 
 
 @dataclass(frozen=True)
-class HeatCoefficients:
-    """Small-time expansion coefficients b_{-1}, b_0, b_1, ... of a trace:
-    trace(t) ~ b_{-1}/t + b_0 + b_1 t + ..."""
-
-    b: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
-
-    def pairs(self, count: int | None = None):
-        """(power, coefficient) pairs starting at power -1."""
-        chosen = self.b if count is None else self.b[:count]
-        return [(k - 1, bk) for k, bk in enumerate(chosen)]
-
-
-@dataclass(frozen=True)
 class ZetaEvaluation:
     """One continued zeta value with its subtraction depth and, when the
     expansion carries a 1/t term, the induced pole (location, residue)."""
@@ -106,21 +89,6 @@ def spectral_zeta_series(eigenvalues, s) -> complex:
     if lam.size == 0:
         return 0.0 + 0.0j
     return complex(np.sum(np.exp(-complex(s) * np.log(lam))))
-
-
-def _normalize_terms(coefficients) -> list:
-    """Normalize a coefficient spec into (power, value) pairs.
-
-    Accepts HeatCoefficients, a plain sequence of floats (interpreted as the
-    integer ladder starting at power -1), or explicit (power, value) pairs.
-    """
-    if isinstance(coefficients, HeatCoefficients):
-        return coefficients.pairs()
-    pairs = []
-    for entry in coefficients:
-        pairs.append((len(pairs) - 1, float(entry)) if np.isscalar(entry)
-                     else (float(entry[0]), float(entry[1])))
-    return pairs
 
 
 def _check_terms(trace: Callable, terms: list) -> None:
@@ -186,7 +154,8 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
                       tol: float, tail_decay: float, z: complex = 0.0,
                       removed=(), *, slope: bool = False) -> tuple:
     """Continued (1/Gamma(s)) int_0^inf [trace(t) - c_M] e^{-zt} t^{s-1} dt
-    and the pole flag; with slope, its s-derivative at s = z = 0.
+    and the pole flag; with slope, its s-derivative at s = z = 0.  The
+    trace maps arrays of t to arrays; an opaque one comes so from _opaque.
 
     `terms` match the trace to O(t^{n_rem}), n_rem = max alpha + 1, and
     -c_M is one more power 0.  Each b_alpha t^alpha is subtracted as
@@ -200,7 +169,7 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
     takes (1/Gamma)'(0) = 1 for 1/Gamma(s) and _gamma_ratio_slope's ratios.
 
     Counted in its error: the rounding eps sum |b_alpha t^alpha| of the
-    subtraction below t = 1; above, for `removed` modes (_truncation), eps
+    subtraction below t = 1; above, for `removed` modes (_opaque), eps
     (|trace| + sum e^{-lambda t}), trace - c_M within 8 times that taken
     as 0; and below t_lo <= 1e-4, where alpha + Re s <= 0 makes that
     rounding non-integrable and the first bracket is taken as its value at
@@ -217,7 +186,6 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
         raise InsufficientSubtractionsError(
             f"Re(s) + max alpha + 1 = {s.real + n_rem:g} <= 0; deepen the "
             "subtraction to continue this far left")
-    trace = as_array_fn(trace)
     expansion = [(alpha, b) for alpha, b in terms if b != 0.0]
     pole_flag = next(((1.0, b) for alpha, b in expansion
                       if abs(alpha + 1.0) < 1e-12), None)
@@ -296,9 +264,9 @@ def _continued_mellin(trace: Callable, s: complex, terms: list, c_M: float,
 
 
 def heat_coefficients(trace: Callable, n: int, *, t_min: float = 2e-4,
-                      t_max: float = 8e-3, points: int = 32) -> HeatCoefficients:
+                      t_max: float = 8e-3, points: int = 32) -> tuple:
     """Fit t*trace(t) by a polynomial on a small-t grid and return its first
-    n + 2 coefficients b_{-1}, b_0, ..., b_n.
+    n + 2 coefficients as the float ladder (b_{-1}, b_0, ..., b_n).
 
     The degree is picked from the residual: it starts at n + 1 and rises
     while the max residual on the grid keeps falling, until the residual
@@ -337,8 +305,7 @@ def heat_coefficients(trace: Callable, n: int, *, t_min: float = 2e-4,
         if residual <= floor:
             break
     coeffs, residual = best
-    fit = HeatCoefficients(b=tuple(c / t_max ** k
-                                   for k, c in enumerate(coeffs[:n + 2])))
+    fit = tuple(float(c / t_max ** k) for k, c in enumerate(coeffs[:n + 2]))
     if residual > floor:
         raise FitError(f"heat-coefficient fit stalls at residual "
                        f"{residual:.3g} above its floor {floor:.3g} "
@@ -377,18 +344,48 @@ def fit_trace_expansion(trace: Callable, powers, *, known=(),
     return sorted(known + fitted)
 
 
-def _expansion_terms(trace: Callable, coefficients, n_subtractions: int,
-                     removed=()) -> list:
-    """The small-time terms a transform of `trace` subtracts: without
-    coefficients, the first n_subtractions + 1 of a heat_coefficients fit;
-    else all supplied ones (a HeatCoefficients counts as its float ladder),
-    which describe the trace before the `removed` modes were taken out, so
-    they are shifted for those modes and checked against `trace`."""
+def _opaque(trace: Callable, coefficients, n_subtractions: int,
+            removed=()) -> tuple:
+    """(trace on arrays, terms) of an opaque trace less its `removed` modes
+    e^{-lambda t}, the one setup of every transform of such a trace.
+
+    n_subtractions < 0 raises DomainError.  Without coefficients the terms
+    are the first n_subtractions + 1 of a heat_coefficients fit of the
+    truncated trace.  Otherwise all supplied ones are taken, whatever
+    n_subtractions: a float ladder starts at power -1, and explicit
+    (power, value) pairs are taken as given.  They describe the trace
+    before the removed modes were taken out, so each supplied integer power
+    p >= 0 is shifted by -(-lambda)^p/p! per mode, and the result is
+    checked against the truncated trace (_check_terms).  Listed zero modes
+    need no removal: the tail constant c_M drops them already.
+
+    Powers the caller did not supply stay absent.  Adding mode-only terms
+    above the supplied powers would claim a remainder of higher order than
+    the truncated trace has, and `_continued_mellin` would then take the
+    remainder below its cutoff t_lo as a power it does not have.
+    """
+    if n_subtractions < 0:
+        raise DomainError(f"n_subtractions must be >= 0, got {n_subtractions}")
+    lifted = as_array_fn(trace)
+
+    def truncated(t: np.ndarray):
+        return np.asarray(lifted(t), dtype=float) - sum(
+            np.exp(-lam * t) for lam in removed)
+
     if coefficients is None:
-        return heat_coefficients(trace, n_subtractions).pairs(n_subtractions + 1)
-    terms = _adjust_terms_for_modes(_normalize_terms(coefficients), removed)
-    _check_terms(trace, terms)
-    return terms
+        fit = heat_coefficients(truncated, n_subtractions)
+        return truncated, [(k - 1, b) for k, b in
+                           enumerate(fit[:n_subtractions + 1])]
+    terms = []
+    for entry in coefficients:
+        a, b = ((len(terms) - 1, float(entry)) if np.isscalar(entry)
+                else (float(entry[0]), float(entry[1])))
+        p = round(a)
+        if abs(a - p) < 1e-12 and p >= 0:
+            b -= sum((-lam) ** p / math.factorial(p) for lam in removed)
+        terms.append((float(a), b))
+    _check_terms(truncated, terms)
+    return truncated, terms
 
 
 def spectral_zeta_mellin(trace: Callable, c_M: float, s, n_subtractions: int = 0,
@@ -399,38 +396,17 @@ def spectral_zeta_mellin(trace: Callable, c_M: float, s, n_subtractions: int = 0
     c_M is the t -> infinity limit of the trace (the zero-mode count for a
     genuine spectral trace).  n_subtractions = n subtracts the expansion
     terms b_{-1}, ..., b_{n-1}, fitted from the trace when coefficients are
-    omitted.  Supplied coefficients, a HeatCoefficients fit, a float ladder
-    or explicit (power, value) pairs, are subtracted in full, whatever n, and
-    checked against the trace at small t (ExpansionMismatchError on a
-    mismatch).  Either way the value needs Re(s) + max power + 1 > 0.
+    omitted.  Supplied coefficients, a float ladder (heat_coefficients gives
+    one) or explicit (power, value) pairs, are subtracted in full, whatever
+    n, and checked against the trace at small t (ExpansionMismatchError on
+    a mismatch).  Either way the value needs Re(s) + max power + 1 > 0.
     """
     s = complex(s)
-    if n_subtractions < 0:
-        raise DomainError("n_subtractions must be >= 0")
-    terms = _expansion_terms(trace, coefficients, n_subtractions)
+    trace, terms = _opaque(trace, coefficients, n_subtractions)
     value, pole_flag = _continued_mellin(trace, s, terms, c_M, tol,
                                          tail_decay)
     return ZetaEvaluation(s=s, value=value, n_subtractions=n_subtractions,
                           pole_flag=pole_flag)
-
-
-def _adjust_terms_for_modes(terms: list, lambdas) -> list:
-    """Shift the supplied expansion coefficients for subtracted modes:
-    removing e^{-lambda t} changes b_p by -(-lambda)^p / p! for each
-    supplied integer power p >= 0.
-
-    Powers the caller did not supply stay absent.  Adding mode-only terms
-    above the supplied powers would claim a remainder of higher order than
-    the truncated trace has, and `_continued_mellin` would then take the
-    remainder below its cutoff t_lo as a power it does not have.
-    """
-    adjusted = []
-    for a, b in terms:
-        p = round(a)
-        if abs(a - p) < 1e-12 and p >= 0:
-            b -= sum((-lam) ** p / math.factorial(p) for lam in lambdas)
-        adjusted.append((float(a), b))
-    return adjusted
 
 
 def hurwitz_zeta(spectral_input, s, z, *, c_M: float = 1.0,
@@ -446,25 +422,12 @@ def hurwitz_zeta(spectral_input, s, z, *, c_M: float = 1.0,
     if callable(spectral_input):
         if z.real <= 0 and z != 0:
             raise StripViolationError(f"trace input needs Re(z) > 0, got {z}")
-        terms = _expansion_terms(spectral_input, coefficients, n_subtractions)
-        return complex(_continued_mellin(spectral_input, s, terms, c_M, tol,
+        trace, terms = _opaque(spectral_input, coefficients, n_subtractions)
+        return complex(_continued_mellin(trace, s, terms, c_M, tol,
                                          tail_decay, z=z)[0])
     positive = [lam for lam in map(float, spectral_input) if lam > 0]
     return complex(sum(np.exp(-s * np.log(complex(z + lam)))
                        for lam in positive))
-
-
-def _truncation(trace: Callable, small_eigenvalues, alpha: float) -> tuple:
-    """(truncated trace, removed modes) of `trace` less the listed positive
-    modes lambda <= alpha, alpha in (0, 1/4).  Listed zero modes need no
-    removal: the tail constant c_M drops them already."""
-    removed = _removed_eigenvalues(small_eigenvalues, alpha, positive=True)
-
-    def truncated(t: np.ndarray):
-        return np.asarray(trace(t), dtype=float) - sum(
-            np.exp(-lam * t) for lam in removed)
-
-    return truncated, removed
 
 
 def truncated_zeta(spectral_input, alpha: float, s, *,
@@ -484,8 +447,10 @@ def truncated_zeta(spectral_input, alpha: float, s, *,
     """
     s = complex(s)
     if callable(spectral_input):
-        trace, removed = _truncation(spectral_input, small_eigenvalues, alpha)
-        terms = _expansion_terms(trace, coefficients, n_subtractions, removed)
+        removed = _removed_eigenvalues(small_eigenvalues, alpha,
+                                       positive=True)
+        trace, terms = _opaque(spectral_input, coefficients, n_subtractions,
+                               removed)
         value, _ = _continued_mellin(trace, s, terms, c_M, tol, tail_decay,
                                      removed=removed)
         return complex(value)
@@ -521,7 +486,7 @@ def mellin_regularized_integral(trace, *, c_M: float = 0.0,
     if not callable(trace):
         return -math.fsum(math.log(lam) for lam in map(float, trace)
                           if lam > 0)
-    terms = _expansion_terms(trace, coefficients, n_subtractions)
+    trace, terms = _opaque(trace, coefficients, n_subtractions)
     return float(_continued_mellin(trace, 0.0, terms, c_M, tol, tail_decay,
                                    slope=True)[0].real)
 
@@ -538,8 +503,8 @@ def log_det_truncated(trace: Callable, small_eigenvalues, alpha: float, *,
     added), and the result is checked against the truncated trace at small
     t, raising ExpansionMismatchError on a mismatch.
     """
-    trace, removed = _truncation(trace, small_eigenvalues, alpha)
-    terms = _expansion_terms(trace, coefficients, n_subtractions, removed)
+    removed = _removed_eigenvalues(small_eigenvalues, alpha, positive=True)
+    trace, terms = _opaque(trace, coefficients, n_subtractions, removed)
     return -float(_continued_mellin(trace, 0.0, terms, c_M, tol, tail_decay,
                                     removed=removed, slope=True)[0].real)
 

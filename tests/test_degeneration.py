@@ -417,13 +417,6 @@ class TestSlopeFit:
         with pytest.raises(FitError):
             fit_slope_vs_logQ(fam, lambda m: 1.0)
 
-    def test_drop_smallest(self):
-        fam = self._family()
-        fit = fit_slope_vs_logQ(fam, lambda m: 2.0 * math.log(
-            m.degenerating_orders[0]), drop_smallest=True)
-        assert len(fit.abscissae) == 3
-        assert fit.slope == pytest.approx(2.0, abs=1e-12)
-
     def test_hecke_slope_short(self):
         # quick version of the headline slope experiment
         fam = hecke_family([1000, 10000, 100000])

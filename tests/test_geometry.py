@@ -1,4 +1,4 @@
-"""Cone geometry closed forms, surface data model, families, serialization."""
+"""Orbifold volume, surface data model, families, serialization."""
 
 import json
 import math
@@ -8,81 +8,8 @@ import pytest
 from degenspec.errors import (DomainError, InvariantViolation, ParseError,
                               SignatureError)
 from degenspec.geometry import (DegeneratingFamily, SurfaceData,
-                                cone_annulus_distance, cone_boundary_length,
-                                cone_volume, gauss_bonnet_volume, hecke_family,
+                                gauss_bonnet_volume, hecke_family,
                                 load_surface, save_surface)
-
-INF = math.inf
-
-
-class TestConeVolume:
-    def test_finite_order(self):
-        assert cone_volume(7, 0.3) == 0.3
-
-    def test_cusp(self):
-        assert cone_volume(INF, 0.3) == 0.15
-
-    def test_continuity_at_zero(self):
-        assert cone_volume(2, 1e-12) == pytest.approx(0.0, abs=1e-11)
-
-    def test_eps_validation(self):
-        with pytest.raises(DomainError):
-            cone_volume(3, 0.0)
-
-    def test_order_validation(self):
-        with pytest.raises(DomainError):
-            cone_volume(1, 0.5)
-
-
-class TestConeBoundary:
-    def test_direct_substitution(self):
-        # q = 4 pi, eps = 1: 4 pi/(4 pi) + 1 = 2
-        # (q need not be integral for the closed form itself; use q = 13
-        # for the integral-order contract and check the formula directly)
-        val = cone_boundary_length(13, 1.0)
-        assert val == pytest.approx(math.sqrt(4 * math.pi / 13 + 1.0), rel=1e-15)
-
-    def test_finite_q_limit_vs_cusp_value(self):
-        # the finite-order formula tends to eps, while the cusp carries
-        # eps/2; both behaviors are kept verbatim
-        eps = 0.4
-        seq = [cone_boundary_length(q, eps) for q in (10, 1000, 100000)]
-        assert abs(seq[-1] - eps) < 1e-3
-        assert cone_boundary_length(INF, eps) == eps / 2.0
-
-    def test_small_eps_limit(self):
-        assert cone_boundary_length(5, 1e-14) == pytest.approx(0.0, abs=1e-6)
-
-
-class TestAnnulusDistance:
-    def test_equal_radii(self):
-        assert cone_annulus_distance(4, 0.3, 0.3) == 0.0
-
-    def test_formal_q1_value(self):
-        # direct evaluation oracle
-        expected = math.log((4 + 2 * math.pi + math.sqrt(4 * (4 * math.pi + 4)))
-                            / (1 + 2 * math.pi + math.sqrt(4 * math.pi + 1)))
-        assert cone_annulus_distance(1, 1.0, 4.0) == pytest.approx(expected,
-                                                                    rel=1e-15)
-
-    def test_monotone_in_outer_radius(self):
-        vals = [cone_annulus_distance(3, 0.2, e2) for e2 in (0.3, 0.5, 1.0, 2.0)]
-        assert all(b > a for a, b in zip(vals[:-1], vals[1:]))
-
-    def test_additivity_exact(self):
-        # log-ratio closed form: nested distances add exactly
-        q, e1, e2, e3 = 5, 0.1, 0.7, 2.3
-        lhs = (cone_annulus_distance(q, e1, e2)
-               + cone_annulus_distance(q, e2, e3))
-        assert lhs == pytest.approx(cone_annulus_distance(q, e1, e3), abs=1e-15)
-
-    def test_order_violation(self):
-        with pytest.raises(DomainError):
-            cone_annulus_distance(3, 0.5, 0.2)
-
-    def test_cusp_limit(self):
-        assert cone_annulus_distance(INF, 0.5, 2.0) == pytest.approx(
-            math.log(4.0), rel=1e-15)
 
 
 class TestGaussBonnet:
@@ -177,14 +104,15 @@ class TestHeckeFamily:
         assert fam.template.degenerating_orders == (3,)
         assert fam.template.num_cusps == 1 and fam.template.genus == 0
 
-    def test_default_signature_has_three_cones(self):
-        fam = hecke_family([5])
-        assert fam.template.elliptic_orders == (2, 3, 5)
-
-    def test_standard_signature_flag(self):
-        fam = hecke_family([3], standard_signature=True)
-        assert fam.template.elliptic_orders == (2, 3)
-        assert fam.template.volume == pytest.approx(math.pi / 3, rel=1e-12)
+    def test_hecke_group_signature(self):
+        # G_N = Z/2 * Z/N: (0; 2, N; 1 cusp), the N-cone degenerating
+        for N in (3, 7):
+            template = hecke_family([N]).template
+            assert (template.genus, template.num_cusps,
+                    template.elliptic_orders) == (0, 1, (2, N))
+            assert template.degenerating_orders == (N,)
+            assert template.volume == pytest.approx(math.pi * (N - 2) / N,
+                                                    rel=1e-12)
 
     def test_arithmetic_cases(self):
         from degenspec.geometry import HECKE_ARITHMETIC

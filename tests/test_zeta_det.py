@@ -24,7 +24,7 @@ from degenspec.geometry import DegeneratingFamily, SurfaceData
 from degenspec.special_fn import as_array_fn, integrate_semi_infinite
 from degenspec.traces import (degenerating_trace, elliptic_trace_u,
                               identity_trace, standard_trace)
-from degenspec.zeta_det import (HeatCoefficients, ZetaEvaluation,
+from degenspec.zeta_det import (ZetaEvaluation,
                                 degeneration_subtraction_zeta, det_laplacian,
                                 fit_trace_expansion, heat_coefficients,
                                 hurwitz_zeta, log_det_truncated,
@@ -40,6 +40,23 @@ SQRT_PI = math.sqrt(math.pi)
 CIRCLE_COEFFS = [(-0.5, SQRT_PI)]
 # a finite spectrum with its exact ladder b_{-1} = 0, b_0 = 5
 FIVE_MODES = [0.7, 1.3, 2.9, 4.4, 5.1]
+# a spectrum with a zero mode and a mode 0.1 below the cut 0.2, its exact
+# ladder b_{-1} = 0, b_0 = 5, b_1 = -6.1, on which every transform of an
+# opaque trace runs; each takes the coefficients and the subtraction depth
+# as keywords
+OPAQUE_MODES = [0.0, 0.1, 0.5, 1.5, 4.0]
+OPAQUE_TRANSFORMS = {
+    "spectral_zeta_mellin": lambda trace, **kw: spectral_zeta_mellin(
+        trace, 1.0, 2.0, **kw).value,
+    "hurwitz_zeta": lambda trace, **kw: hurwitz_zeta(trace, 2.0, 0.5, **kw),
+    "truncated_zeta": lambda trace, **kw: truncated_zeta(
+        trace, 0.2, 2.0, small_eigenvalues=[0.0, 0.1], c_M=1.0, **kw),
+    "det_laplacian": lambda trace, **kw: det_laplacian(trace, **kw),
+    "mellin_regularized_integral": lambda trace, **kw:
+        mellin_regularized_integral(trace, c_M=1.0, **kw),
+    "log_det_truncated": lambda trace, **kw: log_det_truncated(
+        trace, [0.0, 0.1], 0.2, c_M=1.0, **kw),
+}
 
 
 def surface_trace(surface, tol=1e-12):
@@ -188,24 +205,51 @@ class TestMellin:
             spectral_zeta_mellin(trace, 0.0, -1.5, 5,
                                  coefficients=[(-1.0, 0.0), (0.0, 3.0)])
 
-    @pytest.mark.parametrize("transform", [
-        lambda trace, c: spectral_zeta_mellin(trace, 1.0, 2.0, 1,
-                                              coefficients=c).value,
-        lambda trace, c: hurwitz_zeta(trace, 2.0, 0.5, coefficients=c),
-        lambda trace, c: truncated_zeta(trace, 0.2, 2.0,
-                                        small_eigenvalues=[0.0, 0.1],
-                                        c_M=1.0, coefficients=c),
-        lambda trace, c: det_laplacian(trace, coefficients=c),
-        lambda trace, c: log_det_truncated(trace, [0.0, 0.1], 0.2, c_M=1.0,
-                                           coefficients=c),
-    ], ids=["spectral_zeta_mellin", "hurwitz_zeta", "truncated_zeta",
-            "det_laplacian", "log_det_truncated"])
-    def test_a_fit_counts_as_its_float_ladder(self, transform):
+    @pytest.mark.parametrize("name", OPAQUE_TRANSFORMS)
+    def test_a_ladder_counts_as_its_pairs(self, name):
         # one coefficient rule: supplied coefficients are subtracted in
         # full, whatever their form
-        trace = finite_model_trace([0.0, 0.1, 0.5, 1.5, 4.0])
-        fit = heat_coefficients(trace, 1)
-        assert transform(trace, fit) == transform(trace, list(fit.b))
+        transform, trace = OPAQUE_TRANSFORMS[name], finite_model_trace(
+            OPAQUE_MODES)
+        ladder = [0.0, 5.0, -6.1]
+        pairs = [(-1.0, 0.0), (0.0, 5.0), (1.0, -6.1)]
+        assert (transform(trace, coefficients=ladder)
+                == transform(trace, coefficients=pairs))
+
+    @pytest.mark.parametrize("name", OPAQUE_TRANSFORMS)
+    def test_a_scalar_trace_matches_its_array_twin(self, name):
+        # the trace is lifted to arrays before the supplied coefficients
+        # are checked against it; the two sum in different orders
+        def scalar(t):
+            return sum(math.exp(-lam * t) for lam in OPAQUE_MODES)
+        transform = OPAQUE_TRANSFORMS[name]
+        want = transform(finite_model_trace(OPAQUE_MODES),
+                         coefficients=[0.0, 5.0])
+        got = transform(scalar, coefficients=[0.0, 5.0])
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("name", OPAQUE_TRANSFORMS)
+    def test_negative_depth_is_a_domain_error(self, name):
+        # supplied coefficients set the depth, but a negative one is
+        # refused all the same, before the trace is called
+        def trace(t):
+            raise AssertionError("the trace is not to be called")
+        with pytest.raises(DomainError, match="n_subtractions"):
+            OPAQUE_TRANSFORMS[name](trace, coefficients=[0.0, 5.0],
+                                    n_subtractions=-3)
+
+    @pytest.mark.parametrize("name", OPAQUE_TRANSFORMS)
+    def test_one_setup_per_transform(self, monkeypatch, name):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return opaque(*args, **kwargs)
+        opaque = zeta_det._opaque
+        monkeypatch.setattr(zeta_det, "_opaque", counted)
+        OPAQUE_TRANSFORMS[name](finite_model_trace(OPAQUE_MODES),
+                                coefficients=[0.0, 5.0])
+        assert len(calls) == 1
 
     def test_subtraction_depth_consistency(self, compact_surface):
         # values with n and n+1 subtractions agree where both are valid
@@ -261,24 +305,24 @@ class TestHeatCoefficients:
     def test_identity_only_surface(self, bare_surface):
         trace = surface_trace(bare_surface)
         fit = heat_coefficients(trace, 1)
-        assert fit.b[0] == pytest.approx(bare_surface.volume / (4 * math.pi),
-                                         abs=1e-6)
+        assert fit[0] == pytest.approx(bare_surface.volume / (4 * math.pi),
+                                       abs=1e-6)
 
     def test_synthetic_exact_recovery(self):
         trace = as_array_fn(lambda t: 2.5 / t + 0.75)
         fit = heat_coefficients(trace, 0)
-        assert fit.b[0] == pytest.approx(2.5, abs=1e-10)
-        assert fit.b[1] == pytest.approx(0.75, abs=1e-8)
+        assert fit[0] == pytest.approx(2.5, abs=1e-10)
+        assert fit[1] == pytest.approx(0.75, abs=1e-8)
 
     def test_elliptic_only_surface(self):
         s = SurfaceData(genus=0, num_cusps=1, elliptic_orders=(2, 3, 7))
         from degenspec.traces import elliptic_trace_u
         trace = as_array_fn(lambda t: elliptic_trace_u((2, 3, 7), t))
         fit = heat_coefficients(trace, 1)
-        assert abs(fit.b[0]) <= 1e-8  # no 1/t term
+        assert abs(fit[0]) <= 1e-8  # no 1/t term
         # b_0 = ETr(0+) = sum (q^2-1)/(12 q) over cones
         expected = sum((q * q - 1) / (12.0 * q) for q in (2, 3, 7))
-        assert fit.b[1] == pytest.approx(expected, abs=1e-6)
+        assert fit[1] == pytest.approx(expected, abs=1e-6)
 
     def test_residual_above_floor_raises(self):
         # an oscillation no polynomial of moderate degree follows keeps the
@@ -287,13 +331,13 @@ class TestHeatCoefficients:
         with pytest.raises(FitError) as info:
             heat_coefficients(trace, 1)
         assert info.value.residual > 0.0
-        assert len(info.value.coefficients.b) == 3
-        assert info.value.coefficients.b[0] == pytest.approx(1.0, abs=1e-6)
+        assert len(info.value.coefficients) == 3
+        assert info.value.coefficients[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_full_surface_b_minus_one(self, compact_surface):
         trace = surface_trace(compact_surface)
         fit = heat_coefficients(trace, 2)
-        assert fit.b[0] == pytest.approx(
+        assert fit[0] == pytest.approx(
             compact_surface.volume / (4 * math.pi), abs=1e-6)
 
 
